@@ -121,29 +121,6 @@ void block_cache_ablation() {
                 iss_ratio, iss_ratio >= 5.0 ? "met" : "NOT MET");
 }
 
-/// Director-batch on/off ablation for OSM-director-based engines: the
-/// superscalar models stall more than the SARM pipeline, so the blocked-OSM
-/// skip memo has more visits to elide here.
-void director_batch_ablation() {
-    std::printf("\n== director-batch ablation (blocked-OSM skip via generation memos) ==\n\n");
-    std::printf("%-26s %12s %12s %9s\n", "engine", "on Minst/s", "off Minst/s",
-                "speedup");
-
-    for (const auto& name : sim::engine_registry::instance().names()) {
-        sim::engine_config probe_cfg;
-        if (sim::make_engine(name, probe_cfg)->director() == nullptr) continue;
-        sim::engine_config cfg;
-        const unsigned reps = reps_for(name);
-        cfg.director_batch = true;
-        const double on = measure_minst(name, cfg, reps);
-        cfg.director_batch = false;
-        const double off = measure_minst(name, cfg, reps);
-        if (on < 0 || off < 0) continue;
-        std::printf("%-26s %12.2f %12.2f %8.2fx\n", name.c_str(), on, off,
-                    on / off);
-    }
-}
-
 }  // namespace
 
 int main() {
@@ -189,6 +166,5 @@ int main() {
 
     decode_cache_ablation();
     block_cache_ablation();
-    director_batch_ablation();
     return k_osm > k_port ? 0 : 1;
 }

@@ -20,7 +20,7 @@
 # host, Release build) whenever benchmarking hardware changes or an
 # intentional perf change lands.  scripts/bench_gate.py — registered with
 # ctest as bench_regression_gate — re-measures against this file and fails
-# on a >10% throughput loss.
+# on a >20% throughput loss (its default tolerance).
 set -eu
 
 cd "$(dirname "$0")/.."

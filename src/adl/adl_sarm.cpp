@@ -115,7 +115,6 @@ adl_sarm_model::adl_sarm_model(const sarm::sarm_config& cfg, mem::main_memory& m
     m_fr_->set_forwarding(cfg_.forwarding);
 
     dir_.cfg().restart_on_transition = cfg_.director_restart;
-    dir_.cfg().skip_blocked = cfg_.director_batch;
     for (unsigned i = 0; i < cfg_.num_osms; ++i) {
         ops_.push_back(std::make_unique<op_ctx>(machine_->graph, "op" + std::to_string(i)));
         dir_.add(*ops_.back());
@@ -123,9 +122,6 @@ adl_sarm_model::adl_sarm_model(const sarm::sarm_config& cfg, mem::main_memory& m
     m_reset_->arm([this](const core::osm& m) {
         return static_cast<const op_ctx&>(m).epoch != epoch_;
     });
-    // Same soundness argument as the C++ SARM: epoch_ is touched wherever
-    // it is written; o.epoch only changes in the op's own fetch action.
-    m_reset_->set_generation_tracked(true);
     kern_.on_cycle([this] { on_cycle(); });
 }
 
@@ -133,7 +129,6 @@ void adl_sarm_model::load(const isa::program_image& img) {
     img.load_into(mem_);
     fetch_pc_ = img.entry;
     epoch_ = 0;
-    m_reset_->touch();
     redirect_pending_ = false;
     halted_ = false;
     stats_ = {};
@@ -163,7 +158,6 @@ void adl_sarm_model::on_cycle() {
     m_mul_->tick();
     if (redirect_pending_) {
         ++epoch_;
-        m_reset_->touch();
         fetch_pc_ = redirect_target_;
         redirect_pending_ = false;
         ++stats_.redirects;
@@ -204,7 +198,6 @@ stats::report adl_sarm_model::make_report() const {
     r.put("director", "transitions", dir_.stats().transitions);
     r.put("director", "conditions_evaluated", dir_.stats().conditions_evaluated);
     r.put("director", "primitives_evaluated", dir_.stats().primitives_evaluated);
-    r.put("director", "skipped_visits", dir_.stats().skipped_visits);
     return r;
 }
 

@@ -86,34 +86,6 @@ void osm_graph::finalize() {
                                     edges_[static_cast<std::size_t>(b)].priority;
                          });
     }
-
-    // Precompute each state's gating-manager set so the director's blocked
-    // memo is a flat generation snapshot/compare instead of an edge walk.
-    // Only the gating primitives matter: discard/discard_all always
-    // succeed, so their managers cannot change a verdict.
-    gating_.clear();
-    gating_.resize(states_.size());
-    for (std::size_t s = 0; s < states_.size(); ++s) {
-        state_gating& g = gating_[s];
-        for (const std::int32_t ei : out_[s]) {
-            for (const primitive& p : edges_[static_cast<std::size_t>(ei)].prims) {
-                if (p.kind != prim_kind::allocate && p.kind != prim_kind::inquire &&
-                    p.kind != prim_kind::release) {
-                    continue;
-                }
-                if (p.mgr == nullptr) continue;
-                if (!p.mgr->tracks_generation()) {
-                    g.memoable = false;
-                    break;
-                }
-                if (std::find(g.mgrs.begin(), g.mgrs.end(), p.mgr) == g.mgrs.end()) {
-                    g.mgrs.push_back(p.mgr);
-                }
-            }
-            if (!g.memoable) break;
-        }
-        if (!g.memoable) g.mgrs.clear();
-    }
     finalized_ = true;
 }
 
@@ -132,7 +104,6 @@ osm::osm(const osm_graph& graph, std::string name)
 
 void osm::enable_all_edges() {
     std::fill(enables_.begin(), enables_.end(), std::uint8_t{1});
-    ++stamp_;
 }
 
 bool osm::holds(const token_manager* mgr, ident_t ident) const {
@@ -155,8 +126,6 @@ void osm::hard_reset() {
     state_ = graph_->initial();
     age_ = k_idle_age_base + uid_;
     enable_all_edges();
-    ++stamp_;
-    memo_.valid = false;
 }
 
 // ---- token managers ---------------------------------------------------------
@@ -179,21 +148,18 @@ bool unit_token_manager::inquire(ident_t, const osm& requester) {
 void unit_token_manager::do_allocate(ident_t, osm& requester) {
     assert(owner_ == nullptr);
     owner_ = &requester;
-    touch();
 }
 
 void unit_token_manager::do_release(ident_t, osm& requester) {
     assert(owner_ == &requester);
     (void)requester;
     owner_ = nullptr;
-    touch();
 }
 
 void unit_token_manager::discard(ident_t, osm& requester) {
     if (owner_ == &requester) {
         owner_ = nullptr;
         hold_ = 0;
-        touch();
     }
 }
 
@@ -215,22 +181,17 @@ bool pool_token_manager::inquire(ident_t, const osm&) {
 void pool_token_manager::do_allocate(ident_t, osm&) {
     assert(in_use_ < capacity_);
     ++in_use_;
-    touch();
 }
 
 void pool_token_manager::do_release(ident_t, osm&) {
     assert(in_use_ > 0);
     --in_use_;
-    touch();
 }
 
 void pool_token_manager::discard(ident_t, osm&) {
     // Called once per buffered token; each buffered token accounts for one
     // slot.
-    if (in_use_ > 0) {
-        --in_use_;
-        touch();
-    }
+    if (in_use_ > 0) --in_use_;
 }
 
 // ---- director ----------------------------------------------------------------
@@ -321,44 +282,9 @@ void director::commit(osm& m, const graph_edge& e) {
         m.age_ = (1ull << 40) + m.uid();
     }
     ++m.transitions_;
-    ++m.stamp_;
-    m.memo_.valid = false;
     ++stats_.transitions;
     if (e.action) e.action(m);
     if (observer_) observer_(m, e);
-}
-
-bool director::memo_still_blocked(const osm& m) const {
-    const osm::blocked_memo& memo = m.memo_;
-    if (!memo.valid || memo.stamp != m.stamp_) return false;
-    const state_gating& g = m.graph_->gating(m.state_);
-    for (std::size_t i = 0; i < memo.n; ++i) {
-        if (g.mgrs[i]->generation() != memo.gens[i]) return false;
-    }
-    return true;
-}
-
-void director::build_memo(osm& m) {
-    osm::blocked_memo& memo = m.memo_;
-    const state_gating& g = m.graph_->gating(m.state_);
-    if (!g.memoable) {
-        memo.valid = false;
-        return;
-    }
-    const std::size_t n = g.mgrs.size();
-    if (n > osm::blocked_memo::k_max_mgrs) {
-        memo.valid = false;
-        return;
-    }
-    // Flat generation snapshot over the state's precomputed gating set —
-    // a superset of the enabled edges' managers, which is conservative:
-    // an extra manager can only invalidate the memo early, never hold it.
-    for (std::size_t i = 0; i < n; ++i) {
-        memo.gens[i] = g.mgrs[i]->generation();
-    }
-    memo.n = static_cast<std::uint8_t>(n);
-    memo.stamp = m.stamp_;
-    memo.valid = true;
 }
 
 bool director::try_transition(osm& m) {
@@ -372,9 +298,6 @@ bool director::try_transition(osm& m) {
         }
     }
     if (!out.empty()) ++m.blocked_steps_;
-    // The memo is a flat generation snapshot over the state's precomputed
-    // gating set, so it is cheap enough to build on the first failure.
-    if (cfg_.skip_blocked) build_memo(m);
     return false;
 }
 
@@ -414,15 +337,6 @@ unsigned director::control_step() {
     std::size_t i = 0;
     while (i < work_.size()) {
         osm* m = work_[i];
-        if (cfg_.skip_blocked && memo_still_blocked(*m)) {
-            // Nothing the OSM's enabled edges gate on has changed since the
-            // last failed visit: the walk would fail again.  Keep the
-            // blocked_steps accounting identical to the unskipped path.
-            ++stats_.skipped_visits;
-            if (!m->graph_->out_edges(m->state_).empty()) ++m->blocked_steps_;
-            ++i;
-            continue;
-        }
         if (try_transition(*m)) {
             ++transitions;
             work_.erase(work_.begin() + static_cast<std::ptrdiff_t>(i));

@@ -37,9 +37,6 @@ struct director_stats {
     std::uint64_t conditions_evaluated = 0;
     std::uint64_t primitives_evaluated = 0;
     std::uint64_t outer_restarts = 0;
-    /// Visits answered from a blocked-OSM memo without re-evaluating any
-    /// edge condition (config::skip_blocked batching).
-    std::uint64_t skipped_visits = 0;
 };
 
 /// Deterministic scheduler for a set of OSMs.
@@ -54,22 +51,6 @@ public:
         /// After a zero-transition step with blocked allocations, search the
         /// wait-for graph for cycles and throw deadlock_error.
         bool deadlock_check = false;
-        /// Batch the token-transaction ranking: when a visit finds an OSM
-        /// blocked, remember the generations of every manager its enabled
-        /// edges gate on; while neither the OSM nor any of those managers
-        /// has mutated, later visits skip the condition walk entirely.
-        /// Only managers whose tracks_generation() is true participate; an
-        /// edge gating on an untracked manager disables the memo for that
-        /// OSM, so the optimization is behaviour-preserving by construction.
-        ///
-        /// Off by default: in the bundled models a blocked evaluation is a
-        /// one- or two-primitive walk, so the memo upkeep (snapshot on
-        /// failure, validity check per visit) costs about as much as the
-        /// work it skips — measured 0.85-0.97x on sarm/smt/p750 even though
-        /// up to 24% of condition walks are avoided.  The switch exists
-        /// for models where conditions are long conjunctions or the OSM
-        /// population is large; bench/bench_speed_* carry the ablation.
-        bool skip_blocked = false;
     };
 
     /// Ranking function: smaller key = higher rank = scheduled first.
@@ -113,11 +94,6 @@ private:
     bool try_transition(osm& m);
     void commit(osm& m, const graph_edge& e);
     void check_deadlock();
-    /// True when `m`'s blocked memo is valid and nothing it covers changed.
-    bool memo_still_blocked(const osm& m) const;
-    /// Record the managers gating `m`'s enabled out-edges (called after a
-    /// failed visit).  Leaves the memo invalid if any of them is untracked.
-    void build_memo(osm& m);
 
     ident_t resolve(const osm& m, const ident_expr& ie) const {
         return ie.slot >= 0 ? m.ident(ie.slot) : ie.fixed;

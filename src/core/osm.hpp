@@ -40,21 +40,14 @@ public:
     ident_t ident(std::int32_t slot) const { return idents_[static_cast<std::size_t>(slot)]; }
     void set_ident(std::int32_t slot, ident_t v) {
         idents_.at(static_cast<std::size_t>(slot)) = v;
-        ++stamp_;
     }
 
     // ---- per-instance edge enables ----
     bool edge_enabled(std::int32_t e) const { return enables_[static_cast<std::size_t>(e)] != 0; }
     void set_edge_enabled(std::int32_t e, bool on) {
         enables_.at(static_cast<std::size_t>(e)) = on ? 1 : 0;
-        ++stamp_;
     }
     void enable_all_edges();
-
-    /// Monotonic stamp covering everything an edge condition reads from the
-    /// OSM itself: state, identifier slots, edge enables, token buffer.
-    /// Used by the director's blocked-OSM memoization.
-    std::uint64_t stamp() const noexcept { return stamp_; }
 
     // ---- token buffer ----
     const std::vector<token_ref>& token_buffer() const noexcept { return buffer_; }
@@ -79,23 +72,6 @@ public:
 private:
     friend class director;
 
-    /// Director scratch: snapshot taken when a visit found every enabled
-    /// out-edge blocked.  While the OSM's stamp and every gating manager's
-    /// generation are unchanged, the evaluation would fail again and the
-    /// director skips the visit (tentpole batching, ROADMAP item 1).
-    /// `gens[0..n)` parallels graph().gating(state()).mgrs — the manager
-    /// list is precomputed per state at finalize(), so the memo itself is
-    /// just the generation snapshot.  Storage is inline (no heap) so the
-    /// validity check stays within the osm's own cache lines; states gating
-    /// on more than k_max_mgrs managers simply never memoize.
-    struct blocked_memo {
-        static constexpr std::size_t k_max_mgrs = 8;
-        bool valid = false;
-        std::uint8_t n = 0;
-        std::uint64_t stamp = 0;
-        std::uint64_t gens[k_max_mgrs] = {};
-    };
-
     const osm_graph* graph_;
     std::string name_;
     std::uint64_t uid_;
@@ -104,10 +80,8 @@ private:
     std::vector<std::uint8_t> enables_;
     std::vector<token_ref> buffer_;
     std::uint64_t age_;
-    std::uint64_t stamp_ = 0;
     std::uint64_t transitions_ = 0;
     std::uint64_t blocked_steps_ = 0;
-    blocked_memo memo_;
 };
 
 }  // namespace osm::core

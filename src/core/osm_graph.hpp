@@ -36,18 +36,6 @@ struct graph_edge {
     edge_action action;
 };
 
-/// Per-state gating-manager summary, precomputed at finalize() for the
-/// director's blocked-OSM memo: the deduplicated managers referenced by
-/// allocate/inquire/release primitives on any out-edge of the state.
-/// `memoable` is false when any such manager does not track its
-/// generation (a memo over it would be unsound).  The set ignores runtime
-/// edge enables — a superset only ever invalidates the memo more often,
-/// never less, so it is conservative-safe.
-struct state_gating {
-    std::vector<const token_manager*> mgrs;
-    bool memoable = true;
-};
-
 /// Immutable-after-finalize state machine structure.
 class osm_graph {
 public:
@@ -90,10 +78,6 @@ public:
     const std::vector<std::int32_t>& out_edges(state_id s) const {
         return out_.at(static_cast<std::size_t>(s));
     }
-    /// Gating-manager summary of `s` (finalize() precomputes it).
-    const state_gating& gating(state_id s) const {
-        return gating_.at(static_cast<std::size_t>(s));
-    }
 
 private:
     graph_edge& mutable_edge(std::int32_t e);
@@ -102,7 +86,6 @@ private:
     std::vector<std::string> states_;
     std::vector<graph_edge> edges_;
     std::vector<std::vector<std::int32_t>> out_;
-    std::vector<state_gating> gating_;
     state_id initial_ = no_state;
     std::int32_t ident_slots_ = 0;
     bool finalized_ = false;

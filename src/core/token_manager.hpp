@@ -30,22 +30,6 @@ public:
 
     const std::string& name() const noexcept { return name_; }
 
-    // ---- mutation stamp (director blocked-OSM memoization) ----
-    /// Monotonic counter bumped whenever manager state that can change a
-    /// query-phase answer mutates.  The director snapshots the generations
-    /// of every manager a blocked OSM's enabled edges reference; while all
-    /// of them are unchanged (and the OSM itself is unchanged) the failed
-    /// evaluation need not be repeated.
-    std::uint64_t generation() const noexcept { return gen_; }
-    /// Record a satisfiability-relevant mutation.  Managers call this from
-    /// their commit methods; models call it when *external* state feeding a
-    /// manager's answers changes (e.g. the epoch read by a reset predicate).
-    void touch() noexcept { ++gen_; }
-    /// True when every satisfiability-relevant mutation is covered by
-    /// touch().  The conservative default (false) excludes the manager from
-    /// memoization, so OSMs blocked on it are always re-evaluated.
-    virtual bool tracks_generation() const noexcept { return false; }
-
     // ---- query phase ----
     /// Would an allocate of `ident` by `requester` succeed right now?
     virtual bool can_allocate(ident_t ident, const osm& requester) = 0;
@@ -72,7 +56,6 @@ public:
 
 private:
     std::string name_;
-    std::uint64_t gen_ = 0;
 };
 
 /// A single exclusive token — the paper's pipeline-stage occupancy manager.
@@ -89,23 +72,17 @@ public:
     void do_release(ident_t ident, osm& requester) override;
     void discard(ident_t ident, osm& requester) override;
     const osm* owner_of(ident_t /*ident*/) const override { return owner_; }
-    bool tracks_generation() const noexcept override { return true; }
 
     bool busy() const noexcept { return owner_ != nullptr; }
     const osm* owner() const noexcept { return owner_; }
 
     /// While `cycles` > 0, releases are refused (the holder stalls); the
     /// hardware layer decrements this each cycle (e.g. a cache miss).
-    void hold_for(unsigned cycles) noexcept {
-        if (cycles != hold_) touch();
-        hold_ = cycles;
-    }
+    void hold_for(unsigned cycles) noexcept { hold_ = cycles; }
     unsigned hold_remaining() const noexcept { return hold_; }
-    /// Hardware-layer per-cycle update: counts down the hold.  Only the
-    /// final 1 -> 0 step changes any query answer (can_release opens), so
-    /// only that step bumps the generation.
+    /// Hardware-layer per-cycle update: counts down the hold.
     void tick() noexcept {
-        if (hold_ > 0 && --hold_ == 0) touch();
+        if (hold_ > 0) --hold_;
     }
 
 private:
@@ -126,7 +103,6 @@ public:
     void do_allocate(ident_t ident, osm& requester) override;
     void do_release(ident_t ident, osm& requester) override;
     void discard(ident_t ident, osm& requester) override;
-    bool tracks_generation() const noexcept override { return true; }
 
     unsigned capacity() const noexcept { return capacity_; }
     unsigned in_use() const noexcept { return in_use_; }

@@ -8,6 +8,7 @@ namespace osm::isa {
 mh_iss::mh_iss(mem::main_memory& m, unsigned harts, mem::memory_model model,
                std::uint64_t sched_seed)
     : shared_(m, harts == 0 ? 1 : (harts > max_harts ? max_harts : harts), model),
+      sched_seed_(sched_seed),
       rng_(sched_seed),
       states_(shared_.harts()),
       instret_(shared_.harts(), 0) {}
@@ -22,6 +23,7 @@ void mh_iss::load(const program_image& img) {
         shared_.clear_reservation(h);
     }
     host_.clear();
+    rng_ = xrandom(sched_seed_);
 }
 
 std::uint64_t mh_iss::total_retired() const noexcept {

@@ -39,7 +39,7 @@ public:
     mh_iss(mem::main_memory& m, unsigned harts, mem::memory_model model,
            std::uint64_t sched_seed);
 
-    /// Load `img` and reset every hart.  Hart h starts at
+    /// Load `img`, reset every hart and reseed the scheduler.  Hart h starts at
     /// img.hart_entries[h] when provided, else at img.entry.
     void load(const program_image& img);
 
@@ -85,6 +85,7 @@ private:
 
     mem::shared_memory shared_;
     syscall_host host_;
+    std::uint64_t sched_seed_;
     xrandom rng_;
     std::vector<arch_state> states_;
     std::vector<std::uint64_t> instret_;

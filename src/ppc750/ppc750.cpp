@@ -78,7 +78,6 @@ p750_model::p750_model(const p750_config& cfg, mem::main_memory& memory)
 
     dir_.cfg().restart_on_transition = cfg_.director_restart;
     dir_.cfg().deadlock_check = cfg_.deadlock_check;
-    dir_.cfg().skip_blocked = cfg_.director_batch;
 
     ops_.reserve(cfg_.num_osms);
     for (unsigned i = 0; i < cfg_.num_osms; ++i) {
@@ -92,10 +91,6 @@ p750_model::p750_model(const p750_config& cfg, mem::main_memory& memory)
         const auto& o = static_cast<const p750_op&>(m);
         return o.fetch_epoch != epoch_ && o.fetch_seq > kill_seq_;
     });
-    // epoch_ and kill_seq_ are touched at every site that writes them; the
-    // per-op fields are written only in the op's own fetch action (covered
-    // by the OSM stamp), so generation tracking is sound.
-    m_reset_.set_generation_tracked(true);
 
     kern_.on_cycle([this] { on_cycle(); });
 }
@@ -213,7 +208,6 @@ void p750_model::load(const isa::program_image& img) {
     img.load_into(mem_);
     fetch_pc_ = img.entry;
     epoch_ = 0;
-    m_reset_.touch();
     next_fetch_seq_ = 1;
     last_fetch_line_ = ~0u;
     redirect_pending_ = false;
@@ -253,7 +247,6 @@ void p750_model::on_cycle() {
 
     if (redirect_pending_) {
         ++epoch_;
-        m_reset_.touch();  // predicate input changed: wrong-path ops wake
         fetch_pc_ = redirect_target_;
         last_fetch_line_ = ~0u;
         redirect_pending_ = false;
@@ -296,7 +289,6 @@ stats::report p750_model::make_report() const {
     r.put("director", "transitions", dir_.stats().transitions);
     r.put("director", "conditions_evaluated", dir_.stats().conditions_evaluated);
     r.put("director", "primitives_evaluated", dir_.stats().primitives_evaluated);
-    r.put("director", "skipped_visits", dir_.stats().skipped_visits);
     return r;
 }
 
@@ -480,7 +472,6 @@ void p750_model::resolve_branch(p750_op& o) {
         redirect_pending_ = true;
         redirect_target_ = correct_next;
         kill_seq_ = o.fetch_seq;
-        m_reset_.touch();
     }
 }
 

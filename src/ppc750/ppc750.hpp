@@ -67,7 +67,6 @@ struct p750_config {
     unsigned num_osms = 16;
     unsigned mem_latency = 12;
     bool director_restart = false;  ///< paper §5: age rank needs no restart
-    bool director_batch = false;    ///< skip blocked OSMs via generation memos
     bool deadlock_check = false;
     bool decode_cache = true;       ///< cache pre-decoded instructions by (pc, word)
     unsigned decode_cache_entries = 4096;

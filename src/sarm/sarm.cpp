@@ -39,7 +39,6 @@ sarm_model::sarm_model(const sarm_config& cfg, mem::main_memory& memory)
 
     dir_.cfg().restart_on_transition = cfg_.director_restart;
     dir_.cfg().deadlock_check = cfg_.deadlock_check;
-    dir_.cfg().skip_blocked = cfg_.director_batch;
 
     ops_.reserve(cfg_.num_osms);
     for (unsigned i = 0; i < cfg_.num_osms; ++i) {
@@ -53,10 +52,6 @@ sarm_model::sarm_model(const sarm_config& cfg, mem::main_memory& memory)
     m_reset_.arm([this](const core::osm& m) {
         return static_cast<const sarm_op&>(m).epoch != epoch_;
     });
-    // The predicate reads epoch_ (touched on every redirect and at load)
-    // and o.epoch (written only in the op's own fetch action, covered by
-    // the OSM stamp), so generation tracking is sound.
-    m_reset_.set_generation_tracked(true);
 
     kern_.on_cycle([this] { on_cycle(); });
 }
@@ -155,7 +150,6 @@ void sarm_model::load(const isa::program_image& img) {
     img.load_into(mem_);
     fetch_pc_ = img.entry;
     epoch_ = 0;
-    m_reset_.touch();
     redirect_pending_ = false;
     halted_ = false;
     stats_ = {};
@@ -196,7 +190,6 @@ void sarm_model::on_cycle() {
         // edge: fetch restarts from the target and every operation fetched
         // in the old epoch becomes a reset victim.
         ++epoch_;
-        m_reset_.touch();  // predicate input changed: wrong-path ops wake
         fetch_pc_ = redirect_target_;
         redirect_pending_ = false;
         ++stats_.redirects;
@@ -242,7 +235,6 @@ stats::report sarm_model::make_report() const {
     r.put("director", "transitions", dir_.stats().transitions);
     r.put("director", "conditions_evaluated", dir_.stats().conditions_evaluated);
     r.put("director", "primitives_evaluated", dir_.stats().primitives_evaluated);
-    r.put("director", "skipped_visits", dir_.stats().skipped_visits);
     return r;
 }
 

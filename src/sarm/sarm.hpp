@@ -43,7 +43,6 @@ namespace osm::sarm {
 struct sarm_config {
     bool forwarding = true;         ///< bypass network present (ablation knob)
     bool director_restart = false;  ///< paper §5: age rank needs no restart
-    bool director_batch = false;    ///< skip blocked OSMs via generation memos
     bool deadlock_check = false;
     unsigned num_osms = 8;          ///< OSM pool size (>= in-flight max + idle)
     unsigned mem_latency = 12;      ///< DRAM cycles

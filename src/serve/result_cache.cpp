@@ -92,7 +92,6 @@ std::string result_cache::cache_key(const std::string& engine,
     key += ";dcache=" + std::to_string(cfg.decode_cache ? 1 : 0) + ":" +
            std::to_string(cfg.decode_cache_entries);
     key += ";bcache=" + std::to_string(cfg.block_cache ? 1 : 0);
-    key += ";dbatch=" + std::to_string(cfg.director_batch ? 1 : 0);
     key += ";max_cycles=" + std::to_string(max_cycles);
     return key;
 }

@@ -38,10 +38,6 @@ struct engine_config {
     unsigned decode_cache_entries = 4096;
     /// Translated-basic-block cache + threaded dispatch (ISS fast path).
     bool block_cache = true;
-    /// Director blocked-OSM skip memo (OSM timing engines).  Off by
-    /// default: memo upkeep roughly cancels the skipped one-primitive
-    /// condition walks in the bundled models (see director.hpp).
-    bool director_batch = false;
     /// Hart count (multi-hart engines only; every single-hart engine
     /// ignores it, so harts=1 configurations are bit-identical to before
     /// the knob existed).
@@ -57,8 +53,8 @@ struct engine_config {
 ///
 /// Lifecycle: construct (owns its own main memory), `load()` an image,
 /// `run()` under a budget, then read state.  `load()` may be called again
-/// to re-run a fresh program on the same engine instance where the
-/// underlying model supports it (all built-ins do).
+/// on the same instance: the engine then behaves exactly like a freshly
+/// constructed one given the new image.
 class engine {
 public:
     virtual ~engine();
@@ -66,7 +62,8 @@ public:
     /// Registry key ("iss", "sarm", ...).
     virtual std::string_view name() const = 0;
 
-    /// Load `img` into the engine's memory and reset architectural state.
+    /// Load `img` into the engine's cleared memory and reset every piece of
+    /// state (architectural, timing, counters), whatever ran before.
     virtual void load(const isa::program_image& img) = 0;
 
     /// Simulate until halt or `max_cycles` (instructions for the untimed
@@ -148,7 +145,8 @@ public:
     stats::report stats_report() const;
 
     /// OSM-framework hooks for the pipeline tracer; null for engines not
-    /// built on the director/kernel (iss, hw, port).
+    /// built on the director/kernel (iss, hw, port).  Valid until the next
+    /// load() or restore_state(), either of which may rebuild the model.
     virtual core::director* director() { return nullptr; }
     virtual core::sim_kernel* kernel() { return nullptr; }
 

@@ -6,9 +6,9 @@
 //
 // Each adapter owns its model *and* the main memory behind it, so an
 // engine instance is a self-contained machine: tools and tests never
-// juggle per-engine memory/config plumbing again.  Adding an eighth
-// engine means writing one more adapter here (or registering one from
-// user code) — see docs/engines.md.
+// juggle per-engine memory/config plumbing again.  The six single-hart
+// timing models share one adapter, timing_engine<Traits>; a new timing
+// model needs only a traits struct and a registry line (docs/engines.md).
 //
 // Checkpointing: the ISS snapshots directly (level `exact`).  The timing
 // engines snapshot at the quiesced retirement boundary (level
@@ -39,23 +39,6 @@
 
 namespace osm::sim {
 namespace {
-
-sarm::sarm_config to_sarm_config(const engine_config& cfg) {
-    sarm::sarm_config c;
-    c.forwarding = cfg.forwarding;
-    c.decode_cache = cfg.decode_cache;
-    c.decode_cache_entries = cfg.decode_cache_entries;
-    c.director_batch = cfg.director_batch;
-    return c;
-}
-
-ppc750::p750_config to_p750_config(const engine_config& cfg) {
-    ppc750::p750_config c;
-    c.decode_cache = cfg.decode_cache;
-    c.decode_cache_entries = cfg.decode_cache_entries;
-    c.director_batch = cfg.director_batch;
-    return c;
-}
 
 /// Golden replay: reconstruct the architectural state at retirement
 /// boundary `retired` with a fresh ISS, starting either from the program
@@ -122,7 +105,10 @@ public:
         : sim_(mem_, cfg.decode_cache, cfg.block_cache) {}
 
     std::string_view name() const override { return "iss"; }
-    void load(const isa::program_image& img) override { sim_.load(img); }
+    void load(const isa::program_image& img) override {
+        mem_.clear();
+        sim_.load(img);
+    }
     std::uint64_t run(std::uint64_t max_cycles) override { return sim_.run(max_cycles); }
     bool halted() const override { return sim_.state().halted; }
     std::uint32_t gpr(unsigned r) const override { return sim_.state().gpr[r]; }
@@ -183,7 +169,10 @@ public:
 
     std::string_view name() const override { return "mh-iss"; }
     std::string_view isa() const override { return "vr32-mh"; }
-    void load(const isa::program_image& img) override { sim_.load(img); }
+    void load(const isa::program_image& img) override {
+        mem_.clear();
+        sim_.load(img);
+    }
     std::uint64_t run(std::uint64_t max_cycles) override { return sim_.run(max_cycles); }
     bool halted() const override { return sim_.all_halted(); }
     std::uint32_t gpr(unsigned r) const override { return sim_.state(0).gpr[r]; }
@@ -268,358 +257,179 @@ private:
     isa::mh_iss sim_;
 };
 
+sarm::sarm_config to_sarm_config(const engine_config& cfg) {
+    sarm::sarm_config c;
+    c.forwarding = cfg.forwarding;
+    c.decode_cache = cfg.decode_cache;
+    c.decode_cache_entries = cfg.decode_cache_entries;
+    return c;
+}
+
+ppc750::p750_config to_p750_config(const engine_config& cfg) {
+    ppc750::p750_config c;
+    c.decode_cache = cfg.decode_cache;
+    c.decode_cache_entries = cfg.decode_cache_entries;
+    return c;
+}
+
+/// How timing_engine talks to a single-hart timing model.  The defaults
+/// fit the models with a load(img)/gpr(r)/fetch_pc()/stats() surface; a
+/// per-engine traits struct derives from this and shadows only what its
+/// model does differently.
+template <typename Model>
+struct timing_traits {
+    using model = Model;
+    /// Built on the OSM director/kernel (exposed to the pipeline tracer).
+    static constexpr bool osm_based = true;
+    static constexpr bool executes_fp = true;
+    static void load(Model& m, const isa::program_image& img) { m.load(img); }
+    static bool halted(const Model& m) { return m.halted(); }
+    static std::uint32_t gpr(const Model& m, unsigned r) { return m.gpr(r); }
+    static std::uint32_t fpr(const Model& m, unsigned r) { return m.fpr(r); }
+    static std::uint32_t pc(const Model& m) { return m.fetch_pc(); }
+    static std::uint64_t cycles(const Model& m) { return m.stats().cycles; }
+    static std::uint64_t retired(const Model& m) { return m.stats().retired; }
+    /// Seed a freshly built model with checkpointed state: a resume stub
+    /// points fetch at the boundary, then the architectural state is adopted.
+    static void restore(Model& m, const checkpoint& ck) {
+        m.load(resume_stub(ck.arch.pc));
+        m.restore_arch(ck.arch, ck.console);
+    }
+};
+
 /// OSM StrongARM-like 5-stage in-order pipeline (paper §5.1).
-class sarm_engine final : public engine {
-public:
-    explicit sarm_engine(const engine_config& cfg) : cfg_(cfg) {
-        sim_.emplace(to_sarm_config(cfg_), mem_);
-    }
-
-    std::string_view name() const override { return "sarm"; }
-    void load(const isa::program_image& img) override {
-        sim_->load(img);
-        image_ = img;
-        has_program_ = true;
-        base_.reset();
-        base_retired_ = 0;
-    }
-    std::uint64_t run(std::uint64_t max_cycles) override { return sim_->run(max_cycles); }
-    bool halted() const override { return sim_->halted(); }
-    std::uint32_t gpr(unsigned r) const override { return sim_->gpr(r); }
-    std::uint32_t fpr(unsigned r) const override { return sim_->fpr(r); }
-    std::uint32_t pc() const override { return sim_->fetch_pc(); }
-    const std::string& console() const override { return sim_->console(); }
-    std::uint64_t cycles() const override { return sim_->stats().cycles; }
-    std::uint64_t retired() const override { return base_retired_ + sim_->stats().retired; }
-    core::director* director() override { return &sim_->dir(); }
-    core::sim_kernel* kernel() override { return &sim_->kernel(); }
-
-    checkpoint_level checkpoint_support() const override {
-        return checkpoint_level::architectural;
-    }
-    checkpoint save_state() const override {
-        return replay_architectural(name(), has_program_ ? &image_ : nullptr,
-                                    base_ ? &*base_ : nullptr, retired(), cycles());
-    }
-    void restore_state(const checkpoint& ck) override {
-        require_single_hart(ck, name());
-        mem_.clear();
-        restore_memory(mem_, ck.pages);
-        sim_.emplace(to_sarm_config(cfg_), mem_);
-        sim_->load(resume_stub(ck.arch.pc));
-        sim_->restore_arch(ck.arch, ck.console);
-        base_ = ck;
-        base_retired_ = ck.retired;
-    }
-
-protected:
-    stats::report make_report() const override { return sim_->make_report(); }
-
-private:
-    engine_config cfg_;
-    mem::main_memory mem_;
-    std::optional<sarm::sarm_model> sim_;
-    isa::program_image image_;
-    bool has_program_ = false;
-    std::optional<checkpoint> base_;
-    std::uint64_t base_retired_ = 0;
+struct sarm_traits : timing_traits<sarm::sarm_model> {
+    static constexpr std::string_view name = "sarm";
+    static constexpr auto config = to_sarm_config;
 };
 
 /// Hand-coded cycle simulator of the SARM pipeline (SimpleScalar surrogate).
-class hw_engine final : public engine {
-public:
-    explicit hw_engine(const engine_config& cfg) : cfg_(cfg) {
-        sim_.emplace(to_sarm_config(cfg_), mem_);
-    }
-
-    std::string_view name() const override { return "hw"; }
-    void load(const isa::program_image& img) override {
-        sim_->load(img);
-        image_ = img;
-        has_program_ = true;
-        base_.reset();
-        base_retired_ = 0;
-    }
-    std::uint64_t run(std::uint64_t max_cycles) override { return sim_->run(max_cycles); }
-    bool halted() const override { return sim_->halted(); }
-    std::uint32_t gpr(unsigned r) const override { return sim_->gpr(r); }
-    std::uint32_t fpr(unsigned r) const override { return sim_->fpr(r); }
-    std::uint32_t pc() const override { return sim_->fetch_pc(); }
-    const std::string& console() const override { return sim_->console(); }
-    std::uint64_t cycles() const override { return sim_->cycles(); }
-    std::uint64_t retired() const override { return base_retired_ + sim_->retired(); }
-
-    checkpoint_level checkpoint_support() const override {
-        return checkpoint_level::architectural;
-    }
-    checkpoint save_state() const override {
-        return replay_architectural(name(), has_program_ ? &image_ : nullptr,
-                                    base_ ? &*base_ : nullptr, retired(), cycles());
-    }
-    void restore_state(const checkpoint& ck) override {
-        require_single_hart(ck, name());
-        mem_.clear();
-        restore_memory(mem_, ck.pages);
-        sim_.emplace(to_sarm_config(cfg_), mem_);
-        sim_->load(resume_stub(ck.arch.pc));
-        sim_->restore_arch(ck.arch, ck.console);
-        base_ = ck;
-        base_retired_ = ck.retired;
-    }
-
-protected:
-    stats::report make_report() const override { return sim_->make_report(); }
-
-private:
-    engine_config cfg_;
-    mem::main_memory mem_;
-    std::optional<baseline::hardwired_sarm> sim_;
-    isa::program_image image_;
-    bool has_program_ = false;
-    std::optional<checkpoint> base_;
-    std::uint64_t base_retired_ = 0;
+struct hw_traits : timing_traits<baseline::hardwired_sarm> {
+    static constexpr std::string_view name = "hw";
+    static constexpr bool osm_based = false;
+    static constexpr auto config = to_sarm_config;
+    static std::uint64_t cycles(const model& m) { return m.cycles(); }
+    static std::uint64_t retired(const model& m) { return m.retired(); }
 };
 
 /// SARM elaborated from OSM-DL text (the paper's §7 ADL direction).
-class adl_engine final : public engine {
-public:
-    explicit adl_engine(const engine_config& cfg) : cfg_(cfg) {
-        sim_.emplace(to_sarm_config(cfg_), mem_);
-    }
-
-    std::string_view name() const override { return "adl"; }
-    void load(const isa::program_image& img) override {
-        sim_->load(img);
-        image_ = img;
-        has_program_ = true;
-        base_.reset();
-        base_retired_ = 0;
-    }
-    std::uint64_t run(std::uint64_t max_cycles) override { return sim_->run(max_cycles); }
-    bool halted() const override { return sim_->halted(); }
-    std::uint32_t gpr(unsigned r) const override { return sim_->gpr(r); }
-    std::uint32_t fpr(unsigned r) const override { return sim_->fpr(r); }
-    std::uint32_t pc() const override { return sim_->fetch_pc(); }
-    const std::string& console() const override { return sim_->console(); }
-    std::uint64_t cycles() const override { return sim_->stats().cycles; }
-    std::uint64_t retired() const override { return base_retired_ + sim_->stats().retired; }
-    core::director* director() override { return &sim_->dir(); }
-    core::sim_kernel* kernel() override { return &sim_->kernel(); }
-
-    checkpoint_level checkpoint_support() const override {
-        return checkpoint_level::architectural;
-    }
-    checkpoint save_state() const override {
-        return replay_architectural(name(), has_program_ ? &image_ : nullptr,
-                                    base_ ? &*base_ : nullptr, retired(), cycles());
-    }
-    void restore_state(const checkpoint& ck) override {
-        require_single_hart(ck, name());
-        mem_.clear();
-        restore_memory(mem_, ck.pages);
-        sim_.emplace(to_sarm_config(cfg_), mem_);
-        sim_->load(resume_stub(ck.arch.pc));
-        sim_->restore_arch(ck.arch, ck.console);
-        base_ = ck;
-        base_retired_ = ck.retired;
-    }
-
-protected:
-    stats::report make_report() const override { return sim_->make_report(); }
-
-private:
-    engine_config cfg_;
-    mem::main_memory mem_;
-    std::optional<adl::adl_sarm_model> sim_;
-    isa::program_image image_;
-    bool has_program_ = false;
-    std::optional<checkpoint> base_;
-    std::uint64_t base_retired_ = 0;
+struct adl_traits : timing_traits<adl::adl_sarm_model> {
+    static constexpr std::string_view name = "adl";
+    static constexpr auto config = to_sarm_config;
 };
 
 /// SMT pipeline driven single-threaded (paper §6).  Integer-only: the
 /// model has no FP register file, so executes_fp() is false and FP
 /// programs are skipped by the differential harnesses.
-class smt_engine final : public engine {
-public:
-    explicit smt_engine(const engine_config& cfg) : cfg_(cfg) {
-        sim_.emplace(to_smt_config(cfg_), mem_);
-    }
-
-    std::string_view name() const override { return "smt"; }
-    void load(const isa::program_image& img) override {
-        sim_->load(0, img);
-        image_ = img;
-        has_program_ = true;
-        base_.reset();
-        base_retired_ = 0;
-    }
-    std::uint64_t run(std::uint64_t max_cycles) override { return sim_->run(max_cycles); }
-    // drained(), not all_done(): the latter flips at fetch of the exit
-    // syscall, while it (and older ops) are still in flight.
-    bool halted() const override { return sim_->drained(); }
-    std::uint32_t gpr(unsigned r) const override { return sim_->gpr(0, r); }
-    std::uint32_t fpr(unsigned) const override { return 0; }
-    std::uint32_t pc() const override { return sim_->pc(0); }
-    const std::string& console() const override { return sim_->console(); }
-    std::uint64_t cycles() const override { return sim_->stats().cycles; }
-    std::uint64_t retired() const override {
-        return base_retired_ + sim_->stats().total_retired();
-    }
-    bool executes_fp() const override { return false; }
-    core::director* director() override { return &sim_->dir(); }
-    core::sim_kernel* kernel() override { return &sim_->kernel(); }
-
-    checkpoint_level checkpoint_support() const override {
-        return checkpoint_level::architectural;
-    }
-    checkpoint save_state() const override {
-        return replay_architectural(name(), has_program_ ? &image_ : nullptr,
-                                    base_ ? &*base_ : nullptr, retired(), cycles());
-    }
-    void restore_state(const checkpoint& ck) override {
-        require_single_hart(ck, name());
-        mem_.clear();
-        restore_memory(mem_, ck.pages);
-        sim_.emplace(to_smt_config(cfg_), mem_);
-        sim_->restore_arch(ck.arch, ck.console);  // marks thread 0 loaded
-        base_ = ck;
-        base_retired_ = ck.retired;
-    }
-
-protected:
-    stats::report make_report() const override { return sim_->make_report(); }
-
-private:
-    static smt::smt_config to_smt_config(const engine_config& cfg) {
+struct smt_traits : timing_traits<smt::smt_model> {
+    static constexpr std::string_view name = "smt";
+    static constexpr bool executes_fp = false;
+    static smt::smt_config config(const engine_config& cfg) {
         smt::smt_config c;
         c.threads = 1;
         c.forwarding = cfg.forwarding;
         c.decode_cache = cfg.decode_cache;
         c.decode_cache_entries = cfg.decode_cache_entries;
-        c.director_batch = cfg.director_batch;
         return c;
     }
-
-    engine_config cfg_;
-    mem::main_memory mem_;
-    std::optional<smt::smt_model> sim_;
-    isa::program_image image_;
-    bool has_program_ = false;
-    std::optional<checkpoint> base_;
-    std::uint64_t base_retired_ = 0;
+    static void load(model& m, const isa::program_image& img) { m.load(0, img); }
+    // drained(), not all_done(): the latter flips at fetch of the exit
+    // syscall, while it (and older ops) are still in flight.
+    static bool halted(const model& m) { return m.drained(); }
+    static std::uint32_t gpr(const model& m, unsigned r) { return m.gpr(0, r); }
+    static std::uint32_t fpr(const model&, unsigned) { return 0; }
+    static std::uint32_t pc(const model& m) { return m.pc(0); }
+    static std::uint64_t retired(const model& m) { return m.stats().total_retired(); }
+    static void restore(model& m, const checkpoint& ck) {
+        m.restore_arch(ck.arch, ck.console);  // marks thread 0 loaded
+    }
 };
 
 /// OSM PowerPC-750-like dual-issue out-of-order superscalar (paper §5.2).
-class p750_engine final : public engine {
-public:
-    explicit p750_engine(const engine_config& cfg) : cfg_(cfg) {
-        sim_.emplace(to_p750_config(cfg_), mem_);
-    }
-
-    std::string_view name() const override { return "p750"; }
-    void load(const isa::program_image& img) override {
-        sim_->load(img);
-        image_ = img;
-        has_program_ = true;
-        base_.reset();
-        base_retired_ = 0;
-    }
-    std::uint64_t run(std::uint64_t max_cycles) override { return sim_->run(max_cycles); }
-    bool halted() const override { return sim_->halted(); }
-    std::uint32_t gpr(unsigned r) const override { return sim_->gpr(r); }
-    std::uint32_t fpr(unsigned r) const override { return sim_->fpr(r); }
-    std::uint32_t pc() const override { return sim_->fetch_pc(); }
-    const std::string& console() const override { return sim_->console(); }
-    std::uint64_t cycles() const override { return sim_->stats().cycles; }
-    std::uint64_t retired() const override { return base_retired_ + sim_->stats().retired; }
-    core::director* director() override { return &sim_->dir(); }
-    core::sim_kernel* kernel() override { return &sim_->kernel(); }
-
-    checkpoint_level checkpoint_support() const override {
-        return checkpoint_level::architectural;
-    }
-    checkpoint save_state() const override {
-        return replay_architectural(name(), has_program_ ? &image_ : nullptr,
-                                    base_ ? &*base_ : nullptr, retired(), cycles());
-    }
-    void restore_state(const checkpoint& ck) override {
-        require_single_hart(ck, name());
-        mem_.clear();
-        restore_memory(mem_, ck.pages);
-        sim_.emplace(to_p750_config(cfg_), mem_);
-        sim_->load(resume_stub(ck.arch.pc));
-        sim_->restore_arch(ck.arch, ck.console);
-        base_ = ck;
-        base_retired_ = ck.retired;
-    }
-
-protected:
-    stats::report make_report() const override { return sim_->make_report(); }
-
-private:
-    engine_config cfg_;
-    mem::main_memory mem_;
-    std::optional<ppc750::p750_model> sim_;
-    isa::program_image image_;
-    bool has_program_ = false;
-    std::optional<checkpoint> base_;
-    std::uint64_t base_retired_ = 0;
+struct p750_traits : timing_traits<ppc750::p750_model> {
+    static constexpr std::string_view name = "p750";
+    static constexpr auto config = to_p750_config;
 };
 
 /// Port/wire discrete-event superscalar (SystemC surrogate).
-class port_engine final : public engine {
-public:
-    explicit port_engine(const engine_config& cfg) : cfg_(cfg) {
-        sim_.emplace(to_p750_config(cfg_), mem_);
-    }
+struct port_traits : timing_traits<baseline::port_ppc> {
+    static constexpr std::string_view name = "port";
+    static constexpr bool osm_based = false;
+    static constexpr auto config = to_p750_config;
+};
 
-    std::string_view name() const override { return "port"; }
+/// The adapter of every single-hart timing model: forwards the accessors
+/// through Traits and owns the model's lifecycle.  The model lives in an
+/// optional so that restore_state() and a repeated load() can rebuild it:
+/// caches, predictors, queues and kernels then start exactly as in a
+/// freshly constructed engine.
+template <typename Traits>
+class timing_engine final : public engine {
+public:
+    explicit timing_engine(const engine_config& cfg) : cfg_(cfg) { rebuild(); }
+
+    std::string_view name() const override { return Traits::name; }
     void load(const isa::program_image& img) override {
-        sim_->load(img);
+        // The constructor's model is pristine; one that has been loaded or
+        // restored before is not, whatever its own load() resets.
+        if (image_ || base_) {
+            mem_.clear();
+            rebuild();
+        }
+        Traits::load(*sim_, img);
         image_ = img;
-        has_program_ = true;
         base_.reset();
-        base_retired_ = 0;
     }
     std::uint64_t run(std::uint64_t max_cycles) override { return sim_->run(max_cycles); }
-    bool halted() const override { return sim_->halted(); }
-    std::uint32_t gpr(unsigned r) const override { return sim_->gpr(r); }
-    std::uint32_t fpr(unsigned r) const override { return sim_->fpr(r); }
-    std::uint32_t pc() const override { return sim_->fetch_pc(); }
+    bool halted() const override { return Traits::halted(*sim_); }
+    std::uint32_t gpr(unsigned r) const override { return Traits::gpr(*sim_, r); }
+    std::uint32_t fpr(unsigned r) const override { return Traits::fpr(*sim_, r); }
+    std::uint32_t pc() const override { return Traits::pc(*sim_); }
     const std::string& console() const override { return sim_->console(); }
-    std::uint64_t cycles() const override { return sim_->stats().cycles; }
-    std::uint64_t retired() const override { return base_retired_ + sim_->stats().retired; }
+    std::uint64_t cycles() const override { return Traits::cycles(*sim_); }
+    std::uint64_t retired() const override {
+        return (base_ ? base_->retired : 0) + Traits::retired(*sim_);
+    }
+    bool executes_fp() const override { return Traits::executes_fp; }
+    core::director* director() override {
+        if constexpr (Traits::osm_based) return &sim_->dir();
+        return nullptr;
+    }
+    core::sim_kernel* kernel() override {
+        if constexpr (Traits::osm_based) return &sim_->kernel();
+        return nullptr;
+    }
 
     checkpoint_level checkpoint_support() const override {
         return checkpoint_level::architectural;
     }
     checkpoint save_state() const override {
-        return replay_architectural(name(), has_program_ ? &image_ : nullptr,
+        return replay_architectural(name(), image_ ? &*image_ : nullptr,
                                     base_ ? &*base_ : nullptr, retired(), cycles());
     }
     void restore_state(const checkpoint& ck) override {
         require_single_hart(ck, name());
         mem_.clear();
         restore_memory(mem_, ck.pages);
-        sim_.emplace(to_p750_config(cfg_), mem_);
-        sim_->load(resume_stub(ck.arch.pc));
-        sim_->restore_arch(ck.arch, ck.console);
+        rebuild();
+        Traits::restore(*sim_, ck);
         base_ = ck;
-        base_retired_ = ck.retired;
     }
 
 protected:
     stats::report make_report() const override { return sim_->make_report(); }
 
 private:
+    void rebuild() { sim_.emplace(Traits::config(cfg_), mem_); }
+
     engine_config cfg_;
     mem::main_memory mem_;
-    std::optional<baseline::port_ppc> sim_;
-    isa::program_image image_;
-    bool has_program_ = false;
+    std::optional<typename Traits::model> sim_;
+    /// The loaded program, golden-replayed by save_state().
+    std::optional<isa::program_image> image_;
+    /// The checkpoint this engine was restored from: save_state() replays
+    /// from it, and retired() counts on from its boundary.
     std::optional<checkpoint> base_;
-    std::uint64_t base_retired_ = 0;
 };
 
 /// PPC32 functional golden model (spec-generated decoder, big-endian).
@@ -629,7 +439,10 @@ public:
 
     std::string_view name() const override { return "ppc32"; }
     std::string_view isa() const override { return "ppc32"; }
-    void load(const isa::program_image& img) override { sim_.load(img); }
+    void load(const isa::program_image& img) override {
+        mem_.clear();
+        sim_.load(img);
+    }
     std::uint64_t run(std::uint64_t max_cycles) override { return sim_.run(max_cycles); }
     bool halted() const override { return sim_.state().halted; }
     std::uint32_t gpr(unsigned r) const override { return sim_.state().r[r]; }
@@ -656,7 +469,10 @@ public:
 
     std::string_view name() const override { return "ppc32-750"; }
     std::string_view isa() const override { return "ppc32"; }
-    void load(const isa::program_image& img) override { sim_.load(img); }
+    void load(const isa::program_image& img) override {
+        mem_.clear();
+        sim_.load(img);
+    }
     std::uint64_t run(std::uint64_t max_cycles) override { return sim_.run(max_cycles); }
     bool halted() const override { return sim_.state().halted; }
     std::uint32_t gpr(unsigned r) const override { return sim_.state().r[r]; }
@@ -692,12 +508,12 @@ void register_builtin_engines(engine_registry& r) {
     r.add(make_entry<mh_iss_engine>(
         "mh-iss", "multi-hart functional ISS (SC/TSO shared memory, seeded scheduler)",
         "vr32-mh"));
-    r.add(make_entry<sarm_engine>("sarm", "OSM StrongARM-like 5-stage in-order pipeline (paper 5.1)"));
-    r.add(make_entry<hw_engine>("hw", "hand-coded cycle simulator of the SARM pipeline (SimpleScalar surrogate)"));
-    r.add(make_entry<adl_engine>("adl", "SARM elaborated from OSM-DL text (paper 7)"));
-    r.add(make_entry<smt_engine>("smt", "SMT pipeline run single-threaded (paper 6, integer only)"));
-    r.add(make_entry<p750_engine>("p750", "OSM PowerPC-750-like out-of-order superscalar (paper 5.2)"));
-    r.add(make_entry<port_engine>("port", "port/wire discrete-event superscalar (SystemC surrogate)"));
+    r.add(make_entry<timing_engine<sarm_traits>>("sarm", "OSM StrongARM-like 5-stage in-order pipeline (paper 5.1)"));
+    r.add(make_entry<timing_engine<hw_traits>>("hw", "hand-coded cycle simulator of the SARM pipeline (SimpleScalar surrogate)"));
+    r.add(make_entry<timing_engine<adl_traits>>("adl", "SARM elaborated from OSM-DL text (paper 7)"));
+    r.add(make_entry<timing_engine<smt_traits>>("smt", "SMT pipeline run single-threaded (paper 6, integer only)"));
+    r.add(make_entry<timing_engine<p750_traits>>("p750", "OSM PowerPC-750-like out-of-order superscalar (paper 5.2)"));
+    r.add(make_entry<timing_engine<port_traits>>("port", "port/wire discrete-event superscalar (SystemC surrogate)"));
     r.add(make_entry<ppc32_engine>(
         "ppc32", "PPC32 functional ISS (spec-generated decoder, big-endian)", "ppc32"));
     r.add(make_entry<ppc32_750_engine>(

@@ -34,10 +34,6 @@ smt_model::smt_model(const smt_config& cfg, mem::main_memory& memory)
       m_reset_("m_reset"),
       graph_("smt"),
       kern_(dir_) {
-    // The reset manager is deliberately left generation-untracked (its
-    // predicate reads o.past_end, whose write sites are not audited for
-    // touch()), so OSMs gated by it never skip — sound either way.
-    dir_.cfg().skip_blocked = cfg_.director_batch;
     build();
     for (unsigned i = 0; i < cfg_.num_osms; ++i) {
         ops_.push_back(std::make_unique<smt_op>(graph_, "op" + std::to_string(i)));
@@ -278,7 +274,6 @@ stats::report smt_model::make_report() const {
     r.put("director", "transitions", dir_.stats().transitions);
     r.put("director", "conditions_evaluated", dir_.stats().conditions_evaluated);
     r.put("director", "primitives_evaluated", dir_.stats().primitives_evaluated);
-    r.put("director", "skipped_visits", dir_.stats().skipped_visits);
     return r;
 }
 

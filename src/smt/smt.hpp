@@ -52,7 +52,6 @@ struct smt_config {
     unsigned num_osms = 8;
     bool decode_cache = true;  ///< cache pre-decoded instructions by (pc, word)
     unsigned decode_cache_entries = 4096;
-    bool director_batch = false;  ///< skip blocked OSMs via generation memos
 };
 
 struct smt_stats {

@@ -36,7 +36,6 @@ void inorder_queue_manager::do_allocate(core::ident_t, core::osm& requester) {
     assert(queue_.size() < capacity_);
     queue_.push_back(&requester);
     ++allocs_this_cycle_;
-    touch();
 }
 
 void inorder_queue_manager::do_release(core::ident_t, core::osm& requester) {
@@ -44,15 +43,11 @@ void inorder_queue_manager::do_release(core::ident_t, core::osm& requester) {
     (void)requester;
     queue_.erase(queue_.begin());
     ++releases_this_cycle_;
-    touch();
 }
 
 void inorder_queue_manager::discard(core::ident_t, core::osm& requester) {
     const auto it = std::find(queue_.begin(), queue_.end(), &requester);
-    if (it != queue_.end()) {
-        queue_.erase(it);
-        touch();
-    }
+    if (it != queue_.end()) queue_.erase(it);
 }
 
 const core::osm* inorder_queue_manager::owner_of(core::ident_t) const {
@@ -60,13 +55,9 @@ const core::osm* inorder_queue_manager::owner_of(core::ident_t) const {
 }
 
 void inorder_queue_manager::tick() {
-    // Only observable changes bump the generation: spent bandwidth coming
-    // back, or the allocation blackout expiring.  A 3 -> 2 blackout count
-    // keeps every query answer identical.
-    if (allocs_this_cycle_ != 0 || releases_this_cycle_ != 0) touch();
     allocs_this_cycle_ = 0;
     releases_this_cycle_ = 0;
-    if (block_alloc_ > 0 && --block_alloc_ == 0) touch();
+    if (block_alloc_ > 0) --block_alloc_;
 }
 
 int inorder_queue_manager::position_of(const core::osm& m) const {

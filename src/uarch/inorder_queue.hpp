@@ -30,7 +30,6 @@ public:
     void do_release(core::ident_t ident, core::osm& requester) override;
     void discard(core::ident_t ident, core::osm& requester) override;
     const core::osm* owner_of(core::ident_t ident) const override;
-    bool tracks_generation() const noexcept override { return true; }
 
     // ---- hardware-layer interface ----
     /// Per-cycle update: resets the bandwidth counters and counts down any
@@ -39,22 +38,13 @@ public:
 
     /// Refuse all allocations for the next `cycles` cycles (e.g. while an
     /// instruction-cache miss is outstanding).
-    void block_alloc_for(unsigned cycles) noexcept {
-        if ((cycles > 0) != (block_alloc_ > 0)) touch();
-        block_alloc_ = cycles;
-    }
+    void block_alloc_for(unsigned cycles) noexcept { block_alloc_ = cycles; }
     bool alloc_blocked() const noexcept { return block_alloc_ > 0; }
 
     /// Permanently refuse further releases (set when the machine halts, so
     /// nothing younger than the halting instruction can commit).
-    void block_release() noexcept {
-        if (!release_blocked_) touch();
-        release_blocked_ = true;
-    }
-    void unblock_release() noexcept {
-        if (release_blocked_) touch();
-        release_blocked_ = false;
-    }
+    void block_release() noexcept { release_blocked_ = true; }
+    void unblock_release() noexcept { release_blocked_ = false; }
 
     unsigned size() const noexcept { return static_cast<unsigned>(queue_.size()); }
     unsigned capacity() const noexcept { return capacity_; }

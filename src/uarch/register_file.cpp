@@ -45,7 +45,6 @@ void register_file_manager::do_allocate(core::ident_t ident, core::osm& requeste
     if (reg0_is_zero_ && r == 0) return;  // x0 updates are no-ops
     assert(entries_[r].writer == nullptr);
     entries_[r] = {&requester, false, 0};
-    touch();
 }
 
 void register_file_manager::do_release(core::ident_t ident, core::osm& requester) {
@@ -56,16 +55,12 @@ void register_file_manager::do_release(core::ident_t ident, core::osm& requester
     (void)requester;
     if (e.published) arch_write(r, e.value);
     e = {};
-    touch();
 }
 
 void register_file_manager::discard(core::ident_t ident, core::osm& requester) {
     if (!ident_is_update(ident)) return;
     const unsigned r = ident_reg(ident);
-    if (entries_[r].writer == &requester) {
-        entries_[r] = {};
-        touch();
-    }
+    if (entries_[r].writer == &requester) entries_[r] = {};
 }
 
 const core::osm* register_file_manager::owner_of(core::ident_t ident) const {
@@ -75,7 +70,6 @@ const core::osm* register_file_manager::owner_of(core::ident_t ident) const {
 void register_file_manager::publish(unsigned reg, std::uint32_t value) {
     if (reg0_is_zero_ && reg == 0) return;
     update_entry& e = entries_[reg];
-    if (!e.published) touch();  // opens forwarding-path inquiries
     e.published = true;
     e.value = value;
 }

@@ -51,7 +51,6 @@ public:
     void do_release(core::ident_t ident, core::osm& requester) override;
     void discard(core::ident_t ident, core::osm& requester) override;
     const core::osm* owner_of(core::ident_t ident) const override;
-    bool tracks_generation() const noexcept override { return true; }
 
     // ---- hardware-layer / model interface ----
     /// Producer announces its result early (end of execute): dependents may
@@ -72,10 +71,7 @@ public:
 
     bool pending(unsigned reg) const { return entries_[reg].writer != nullptr; }
     bool forwarding() const noexcept { return forwarding_; }
-    void set_forwarding(bool on) noexcept {
-        if (on != forwarding_) touch();
-        forwarding_ = on;
-    }
+    void set_forwarding(bool on) noexcept { forwarding_ = on; }
 
 private:
     struct update_entry {

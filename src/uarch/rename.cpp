@@ -90,7 +90,6 @@ void rename_manager::do_allocate(core::ident_t ident, core::osm& requester) {
     if (reg0_is_zero_ && r == 0) return;
     assert(entries_.size() < buffers_);
     entries_.push_back({next_seq_++, r, &requester, false, 0});
-    touch();
 }
 
 void rename_manager::do_release(core::ident_t ident, core::osm& requester) {
@@ -101,7 +100,6 @@ void rename_manager::do_release(core::ident_t ident, core::osm& requester) {
             assert(oldest(r)->seq == it->seq && "out-of-order commit");
             if (it->published) arch_write(r, it->value);
             entries_.erase(it);
-            touch();
             return;
         }
     }
@@ -120,10 +118,7 @@ void rename_manager::discard(core::ident_t ident, core::osm& requester) {
             victim = it;
         }
     }
-    if (victim != entries_.end()) {
-        entries_.erase(victim);
-        touch();
-    }
+    if (victim != entries_.end()) entries_.erase(victim);
 }
 
 const core::osm* rename_manager::owner_of(core::ident_t ident) const {
@@ -149,7 +144,6 @@ void rename_manager::publish(unsigned reg, const core::osm& writer,
     // distinct destinations per op this finds the right one.
     for (rename_entry& e : entries_) {
         if (e.reg == reg && e.writer == &writer) {
-            if (!e.published) touch();  // wakes captured dependents
             e.published = true;
             e.value = value;
             return;

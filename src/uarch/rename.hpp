@@ -62,7 +62,6 @@ public:
     void do_release(core::ident_t ident, core::osm& requester) override;
     void discard(core::ident_t ident, core::osm& requester) override;
     const core::osm* owner_of(core::ident_t ident) const override;
-    bool tracks_generation() const noexcept override { return true; }
 
     // ---- model interface ----
     /// Snapshot the dependency a reader of `reg` has right now: an

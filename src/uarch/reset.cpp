@@ -10,14 +10,8 @@ bool reset_manager::inquire(core::ident_t, const core::osm& requester) {
     return true;
 }
 
-void reset_manager::arm(predicate p) {
-    pred_ = std::move(p);
-    touch();
-}
+void reset_manager::arm(predicate p) { pred_ = std::move(p); }
 
-void reset_manager::disarm() {
-    pred_ = nullptr;
-    touch();
-}
+void reset_manager::disarm() { pred_ = nullptr; }
 
 }  // namespace osm::uarch

@@ -41,20 +41,9 @@ public:
     /// Number of inquiries accepted (operations killed).
     std::uint64_t kills() const noexcept { return kills_; }
 
-    /// Opt the manager into the director's blocked-OSM memoization.  The
-    /// predicate may read arbitrary model state (epochs, kill sequence
-    /// numbers), which generations cannot see — so tracking is only sound
-    /// when the model promises to call touch() every time state the
-    /// predicate reads changes.  Predicate inputs living on the requesting
-    /// OSM itself are already covered by the OSM stamp, since models only
-    /// write them inside that OSM's own transition actions.
-    void set_generation_tracked(bool on) noexcept { tracked_ = on; }
-    bool tracks_generation() const noexcept override { return tracked_; }
-
 private:
     predicate pred_;
     std::uint64_t kills_ = 0;
-    bool tracked_ = false;
 };
 
 }  // namespace osm::uarch

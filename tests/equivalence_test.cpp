@@ -176,32 +176,6 @@ TEST(BlockCacheAblation, BitIdenticalOnAndOff) {
     }
 }
 
-// Director batching (the blocked-OSM skip memo) must be invisible in both
-// architectural state and cycle counts on every OSM-director engine: a
-// cycle divergence would mean a skipped visit could actually have fired,
-// i.e. a generation/touch() hole in some token manager.
-TEST(DirectorBatchAblation, BitIdenticalOnAndOff) {
-    for (int i = 0; i < 6; ++i) {
-        workloads::randprog_options opt;
-        opt.seed = 7300u + static_cast<unsigned>(i);
-        opt.blocks = 10;
-        opt.block_len = 10;
-        opt.with_fp = (i % 2 == 0);
-        const auto img = workloads::make_random_program(opt);
-
-        for (const auto& name : sim::engine_registry::instance().names_for_isa("vr32")) {
-            if (opt.with_fp && !sim::make_engine(name)->executes_fp()) continue;
-            sim::engine_config cfg;
-            cfg.director_batch = true;
-            const auto on = run_engine_cfg(name, img, cfg);
-            cfg.director_batch = false;
-            const auto off = run_engine_cfg(name, img, cfg);
-            expect_arch_equal(on, off, name + " director-batch off", opt.seed);
-            EXPECT_EQ(on.cycles, off.cycles) << name << " seed " << opt.seed;
-        }
-    }
-}
-
 TEST(RandomEquivalence, LoopHeavyPrograms) {
     for (int i = 0; i < 5; ++i) {
         workloads::randprog_options opt;

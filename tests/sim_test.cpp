@@ -8,8 +8,12 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "isa/assembler.hpp"
+#include "mem/shared_mem.hpp"
+#include "ppc32/assembler.hpp"
+#include "ppc32/randprog.hpp"
 #include "sim/diff_runner.hpp"
 #include "sim/engine.hpp"
 #include "sim/registry.hpp"
@@ -109,6 +113,99 @@ TEST(EngineAdapters, StatsReportCarriesUniformSchema) {
         EXPECT_NO_THROW(rep.at("run", "ipc")) << name;
         EXPECT_NO_THROW(rep.at("run", "console_bytes")) << name;
         EXPECT_FALSE(rep.to_json().empty()) << name;
+    }
+}
+
+/// Two programs for one guest ISA (and the engine config that runs them):
+/// the first gives a reused engine its history, the second is compared.
+struct reload_case {
+    sim::engine_config cfg;
+    isa::program_image first, second;
+};
+
+/// For each ISA, a random pair (a real timing history: caches, predictors,
+/// counters) and a pair whose second program reads a word only the first
+/// one wrote (memory left over from the previous program).
+std::vector<reload_case> reload_cases(const std::string& isa_name) {
+    reload_case rnd, mem;
+    if (isa_name == "ppc32") {
+        ppc32::randprog_options opt;
+        opt.seed = 5;
+        rnd.first = ppc32::make_random_program(opt);
+        opt.seed = 6;
+        rnd.second = ppc32::make_random_program(opt);
+        mem.first = ppc32::assemble(
+            "li r4, 16384\n li r3, 42\n stw r3, 0(r4)\n li r0, 0\n sc\n");
+        mem.second = ppc32::assemble(
+            "li r4, 16384\n lwz r3, 0(r4)\n li r0, 2\n sc\n li r0, 0\n sc\n");
+        return {rnd, mem};
+    }
+    workloads::randprog_options opt;
+    if (isa_name == "vr32-mh") {
+        opt.harts = 2;
+        opt.shared_contention = true;
+        rnd.cfg.harts = mem.cfg.harts = 2;
+        rnd.cfg.memory_model = mem.cfg.memory_model = mem::memory_model::tso;
+    } else {
+        EXPECT_EQ(isa_name, "vr32") << "no reload programs for this isa";
+    }
+    opt.seed = 5;
+    rnd.first = workloads::make_random_program(opt);
+    opt.seed = 6;
+    rnd.second = workloads::make_random_program(opt);
+    mem.first = isa::assemble("li t0, 36864\n li t1, 42\n sw t1, 0(t0)\n syscall 0\n");
+    mem.second = isa::assemble("li t0, 36864\n lw a0, 0(t0)\n syscall 2\n syscall 0\n");
+    return {rnd, mem};
+}
+
+void expect_same_run(sim::engine& reused, sim::engine& fresh, const std::string& what) {
+    EXPECT_EQ(reused.halted(), fresh.halted()) << what;
+    EXPECT_EQ(reused.cycles(), fresh.cycles()) << what;
+    EXPECT_EQ(reused.retired(), fresh.retired()) << what;
+    EXPECT_EQ(reused.console(), fresh.console()) << what;
+    ASSERT_EQ(reused.harts(), fresh.harts()) << what;
+    for (unsigned h = 0; h < fresh.harts(); ++h) {
+        EXPECT_EQ(reused.hart_pc(h), fresh.hart_pc(h)) << what << " hart " << h;
+        EXPECT_EQ(reused.hart_retired(h), fresh.hart_retired(h)) << what << " hart " << h;
+        for (unsigned r = 0; r < 32; ++r) {
+            EXPECT_EQ(reused.hart_gpr(h, r), fresh.hart_gpr(h, r)) << what << " x" << r;
+            if (fresh.executes_fp()) {
+                EXPECT_EQ(reused.hart_fpr(h, r), fresh.hart_fpr(h, r)) << what << " f" << r;
+            }
+        }
+    }
+}
+
+// A second load() must leave no trace of what the engine ran before: the
+// reused engine has to match a fresh one on the new program, counters and
+// timing included.  Covers every registered engine of every guest ISA, and
+// both histories an engine can carry: a finished run, and a restore.
+TEST(EngineAdapters, ReloadMatchesFreshEngine) {
+    constexpr std::uint64_t budget = 2'000'000;
+    for (const auto& entry : sim::engine_registry::instance().entries()) {
+        for (const auto& c : reload_cases(entry.isa)) {
+            auto fresh = entry.make(c.cfg);
+            fresh->load(c.second);
+            fresh->run(budget);
+            ASSERT_TRUE(fresh->halted()) << entry.name;
+
+            auto reused = entry.make(c.cfg);
+            reused->load(c.first);
+            reused->run(budget);
+            reused->load(c.second);
+            reused->run(budget);
+            expect_same_run(*reused, *fresh, entry.name + " after a run");
+
+            if (!reused->supports_checkpoint()) continue;
+            auto restored = entry.make(c.cfg);
+            restored->load(c.first);
+            restored->run_until_retired(40);
+            restored->restore_state(restored->save_state());
+            restored->run(budget);
+            restored->load(c.second);
+            restored->run(budget);
+            expect_same_run(*restored, *fresh, entry.name + " after a restore");
+        }
     }
 }
 

@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
     std::printf("  \"engines\": {\n");
     bool first = true;
     for (const auto& name : names) {
-        sim::engine_config cfg;  // defaults: caches on, batching on
+        sim::engine_config cfg;  // defaults: decode and block caches on
         const auto m = measure_engine(name, cfg, scale, reps_for(name, mult));
         if (!m.ran) continue;
         std::fprintf(stderr, "osm-bench: %-6s %10.2f Minst/s\n", name.c_str(),

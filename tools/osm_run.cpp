@@ -49,7 +49,7 @@ void usage() {
                  "usage: osm-run prog.s|prog.vri [--engine NAME] [--diff a,b,...|all]\n"
                  "               [--max-cycles N] [--trace] [--regs] [--json]\n"
                  "               [--no-forwarding] [--no-decode-cache]\n"
-                 "               [--block-cache|--no-block-cache] [--director-batch|--no-director-batch]\n"
+                 "               [--block-cache|--no-block-cache]\n"
                  "               [--save-at N] [--save FILE] [--dump-arch]\n"
                  "       osm-run prog --lockstep ENGINE [--interval N]\n"
                  "                                       retirement-lockstep vs iss; on\n"
@@ -196,8 +196,6 @@ int main(int argc, char** argv) {
         else if (arg == "--no-decode-cache") cfg.decode_cache = false;
         else if (arg == "--block-cache") cfg.block_cache = true;
         else if (arg == "--no-block-cache") cfg.block_cache = false;
-        else if (arg == "--director-batch") cfg.director_batch = true;
-        else if (arg == "--no-director-batch") cfg.director_batch = false;
         else if (arg == "--list-engines") { list_engines(); return 0; }
         else if (!arg.empty() && arg[0] == '-') usage();
         else if (input.empty()) input = arg;
@@ -323,23 +321,24 @@ int main(int argc, char** argv) {
     }
 
     std::unique_ptr<trace::pipeline_tracer> tracer;
-    if (want_trace) {
-        if (sim->director() && sim->kernel()) {
-            tracer = std::make_unique<trace::pipeline_tracer>(*sim->director(),
-                                                              *sim->kernel());
-            tracer->start();
-        } else {
-            std::fprintf(stderr,
-                         "osm-run: engine '%s' is not OSM-director based; --trace ignored\n",
-                         engine.c_str());
-        }
-    }
-
     try {
         if (!restore_path.empty()) {
             sim->restore_state(sim::load_checkpoint_file(restore_path));
         } else {
             sim->load(img);
+        }
+        // Attach after load/restore: both may rebuild the model, which
+        // would leave the tracer hooked into the discarded one.
+        if (want_trace) {
+            if (sim->director() && sim->kernel()) {
+                tracer = std::make_unique<trace::pipeline_tracer>(*sim->director(),
+                                                                  *sim->kernel());
+                tracer->start();
+            } else {
+                std::fprintf(stderr,
+                             "osm-run: engine '%s' is not OSM-director based; --trace ignored\n",
+                             engine.c_str());
+            }
         }
         if (have_save_at) {
             sim->run_until_retired(save_at);
