@@ -11,13 +11,12 @@
 //
 // Engines come from the sim::engine registry (hot loop unchanged: one
 // engine::run() per workload); the per-cycle DE overhead is read from the
-// port engine's uniform stats_report.  The ablation iterates every
-// registered engine over the mixed suite.
+// port engine's uniform stats_report.  Per-engine throughput and the
+// decode-/block-cache ablations are osm-bench's job (tools/osm_bench.cpp).
 #include <chrono>
 #include <cstdio>
 #include <string>
 
-#include "sim/diff_runner.hpp"
 #include "sim/registry.hpp"
 #include "workloads/workloads.hpp"
 
@@ -40,85 +39,6 @@ timed_run measure(const std::string& name, const sim::engine_config& cfg,
     t.secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     return t;
-}
-
-/// Steady-state simulated-instruction throughput (Minst/s) of engine
-/// `name` over the mixed suite; fresh engine per run, FP workloads skipped
-/// for integer-only engines, `reps` repeats short workloads above timer
-/// noise.  One untimed warmup run per workload keeps cold-start host costs
-/// out of the timed region.
-double measure_minst(const std::string& name, const sim::engine_config& cfg,
-                     unsigned reps) {
-    const bool fp_ok = sim::make_engine(name, cfg)->executes_fp();
-    double insts = 0;
-    double secs = 0;
-    for (auto& w : workloads::mixed_suite(2)) {
-        if (!fp_ok && sim::program_uses_fp(w.image)) continue;
-        measure(name, cfg, w.image);  // untimed warmup
-        for (unsigned r = 0; r < reps; ++r) {
-            auto t = measure(name, cfg, w.image);
-            secs += t.secs;
-            insts += static_cast<double>(t.eng->retired());
-        }
-    }
-    return secs > 0 ? insts / secs / 1e6 : -1.0;
-}
-
-unsigned reps_for(const std::string& name) {
-    if (name == "iss") return 8;
-    if (name == "hw") return 2;
-    return 1;
-}
-
-/// Decode-cache on/off ablation (see bench_speed_sarm for the SARM-suite
-/// table).  The ISS row is the pure fetch/decode hot path; the superscalar
-/// engines spend most of their time in per-cycle scheduling, so their rows
-/// quantify how much the decode win is diluted there.
-void decode_cache_ablation() {
-    std::printf("\n== decode-cache ablation (pre-decoded (pc, word)-tagged cache) ==\n\n");
-    std::printf("%-26s %12s %12s %9s\n", "engine", "on Minst/s", "off Minst/s",
-                "speedup");
-
-    double iss_ratio = 0;
-    for (const auto& name : sim::engine_registry::instance().names()) {
-        sim::engine_config cfg;
-        const unsigned reps = reps_for(name);
-        cfg.decode_cache = true;
-        const double on = measure_minst(name, cfg, reps);
-        cfg.decode_cache = false;
-        const double off = measure_minst(name, cfg, reps);
-        if (on < 0 || off < 0) continue;
-        if (name == "iss") iss_ratio = on / off;
-        std::printf("%-26s %12.2f %12.2f %8.2fx\n", name.c_str(), on, off,
-                    on / off);
-    }
-    std::printf("\nfetch/decode hot path speedup with the cache on: %.2fx (target >= 1.2x: %s)\n",
-                iss_ratio, iss_ratio >= 1.2 ? "met" : "NOT MET");
-}
-
-/// Block-cache on/off ablation over the mixed suite (see bench_speed_sarm
-/// for the companion table): decode cache stays on in both columns, so the
-/// ISS row is translated-block dispatch vs the decode-cache baseline.
-void block_cache_ablation() {
-    std::printf("\n== block-cache ablation (translated basic blocks + threaded dispatch) ==\n\n");
-    std::printf("%-26s %12s %12s %9s\n", "engine", "on Minst/s", "off Minst/s",
-                "speedup");
-
-    double iss_ratio = 0;
-    for (const auto& name : sim::engine_registry::instance().names()) {
-        sim::engine_config cfg;
-        const unsigned reps = reps_for(name);
-        cfg.block_cache = true;
-        const double on = measure_minst(name, cfg, reps);
-        cfg.block_cache = false;
-        const double off = measure_minst(name, cfg, reps);
-        if (on < 0 || off < 0) continue;
-        if (name == "iss") iss_ratio = on / off;
-        std::printf("%-26s %12.2f %12.2f %8.2fx\n", name.c_str(), on, off,
-                    on / off);
-    }
-    std::printf("\nISS speedup over the decode-cache baseline: %.2fx (target >= 5x: %s)\n",
-                iss_ratio, iss_ratio >= 5.0 ? "met" : "NOT MET");
 }
 
 }  // namespace
@@ -164,7 +84,5 @@ int main() {
     std::printf("shape check (OSM faster than port model): %s\n",
                 k_osm > k_port ? "holds" : "DOES NOT HOLD");
 
-    decode_cache_ablation();
-    block_cache_ablation();
     return k_osm > k_port ? 0 : 1;
 }

@@ -11,13 +11,12 @@
 //
 // Engines are constructed through the sim::engine registry; the hot loop is
 // still a single engine::run() call over the whole workload, so the adapter
-// adds no per-cycle overhead.  The decode-cache ablation iterates every
-// registered engine, so a newly-registered engine is benched for free.
+// adds no per-cycle overhead.  Per-engine throughput and the decode-/block-
+// cache ablations are osm-bench's job (tools/osm_bench.cpp).
 #include <chrono>
 #include <cstdio>
 #include <string>
 
-#include "sim/diff_runner.hpp"
 #include "sim/registry.hpp"
 #include "workloads/workloads.hpp"
 
@@ -41,95 +40,6 @@ timed_run measure(const std::string& name, const sim::engine_config& cfg,
     t.secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     return t;
-}
-
-/// Steady-state simulated-instruction throughput (Minst/s) of engine
-/// `name` over the workload suite, repeated `reps` times so short
-/// workloads measure above timer noise.  A fresh engine is built per run
-/// (construction is noise next to millions of simulated cycles).  One
-/// untimed warmup run per workload precedes the timed reps so cold-start
-/// costs (host icache/branch predictors, allocator arenas, page faults)
-/// are not billed to the timed region.  FP workloads are skipped for
-/// integer-only engines; returns a negative value if nothing ran.
-double measure_minst(const std::string& name, const sim::engine_config& cfg,
-                     unsigned reps) {
-    const bool fp_ok = sim::make_engine(name, cfg)->executes_fp();
-    double insts = 0;
-    double secs = 0;
-    for (auto& w : workloads::mediabench_suite(2)) {
-        if (!fp_ok && sim::program_uses_fp(w.image)) continue;
-        measure(name, cfg, w.image);  // untimed warmup
-        for (unsigned r = 0; r < reps; ++r) {
-            auto t = measure(name, cfg, w.image);
-            secs += t.secs;
-            insts += static_cast<double>(t.eng->retired());
-        }
-    }
-    return secs > 0 ? insts / secs / 1e6 : -1.0;
-}
-
-/// Per-engine repetition counts: the fast functional ISS needs more reps to
-/// rise above timer noise; the cycle-accurate engines need fewer.
-unsigned reps_for(const std::string& name) {
-    if (name == "iss") return 8;
-    if (name == "hw") return 2;
-    return 1;
-}
-
-/// Decode-cache on/off ablation: the cache is architecturally invisible, so
-/// the *only* difference between the two configurations is wall-clock time
-/// per simulated instruction.  The functional ISS is the pure fetch/decode
-/// hot path; the cycle-accurate engines dilute the win with per-cycle
-/// scheduling work, which the table makes visible.  Every engine in the
-/// registry gets a row.
-void decode_cache_ablation() {
-    std::printf("\n== decode-cache ablation (pre-decoded (pc, word)-tagged cache) ==\n\n");
-    std::printf("%-26s %12s %12s %9s\n", "engine", "on Minst/s", "off Minst/s",
-                "speedup");
-
-    double iss_ratio = 0;
-    for (const auto& name : sim::engine_registry::instance().names()) {
-        sim::engine_config cfg;
-        const unsigned reps = reps_for(name);
-        cfg.decode_cache = true;
-        const double on = measure_minst(name, cfg, reps);
-        cfg.decode_cache = false;
-        const double off = measure_minst(name, cfg, reps);
-        if (on < 0 || off < 0) continue;
-        if (name == "iss") iss_ratio = on / off;
-        std::printf("%-26s %12.2f %12.2f %8.2fx\n", name.c_str(), on, off,
-                    on / off);
-    }
-    std::printf("\nfetch/decode hot path speedup with the cache on: %.2fx (target >= 1.2x: %s)\n",
-                iss_ratio, iss_ratio >= 1.2 ? "met" : "NOT MET");
-}
-
-/// Block-cache on/off ablation.  Both configurations keep the decode cache
-/// on, so the "off" column is the decode-cache baseline and the ISS row
-/// isolates the translated-block/threaded-dispatch win.  The timing
-/// engines fetch through the OSM pipeline (no block dispatch), so their
-/// rows stay ~1.0x — the table makes that explicit rather than implying
-/// the speedup transfers.
-void block_cache_ablation() {
-    std::printf("\n== block-cache ablation (translated basic blocks + threaded dispatch) ==\n\n");
-    std::printf("%-26s %12s %12s %9s\n", "engine", "on Minst/s", "off Minst/s",
-                "speedup");
-
-    double iss_ratio = 0;
-    for (const auto& name : sim::engine_registry::instance().names()) {
-        sim::engine_config cfg;
-        const unsigned reps = reps_for(name);
-        cfg.block_cache = true;
-        const double on = measure_minst(name, cfg, reps);
-        cfg.block_cache = false;
-        const double off = measure_minst(name, cfg, reps);
-        if (on < 0 || off < 0) continue;
-        if (name == "iss") iss_ratio = on / off;
-        std::printf("%-26s %12.2f %12.2f %8.2fx\n", name.c_str(), on, off,
-                    on / off);
-    }
-    std::printf("\nISS speedup over the decode-cache baseline: %.2fx (target >= 5x: %s)\n",
-                iss_ratio, iss_ratio >= 5.0 ? "met" : "NOT MET");
 }
 
 }  // namespace
@@ -167,7 +77,5 @@ int main() {
                 k_osm, k_hw, k_osm / k_hw);
     std::printf("paper:   OSM 650 kcyc/s, SimpleScalar 550 kcyc/s (1.18x), P-III 1.1GHz\n");
 
-    decode_cache_ablation();
-    block_cache_ablation();
     return 0;
 }

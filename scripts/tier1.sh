@@ -66,6 +66,14 @@ ctest --test-dir build-asan -L serve --output-on-failure -j
 ./build-asan/tools/osm-fuzz campaign --seeds 1:16 --matrix quick \
     --max-cycles 20000000 --replay tests/corpus
 
+# Sanitized multi-hart campaign: a seed range starting at 1 puts seeds
+# 14:16 of the full matrix on the mh_contention/mh_fence_dense/mh_lrsc
+# rows, so each hart's isa::iss runs over its shared-memory port (store
+# buffers, fences, LR/SC reservations) with ASan+UBSan watching.  The other
+# rows diff the 1-hart mh-iss against iss, keeping the pass cheap.
+./build-asan/tools/osm-fuzz campaign --seeds 1:16 --matrix full \
+    --engines iss,mh-iss --max-cycles 20000000
+
 # Sanitized sharded-campaign smoke: the same campaign on 2 workers through
 # the serve pool must produce a byte-identical JSON summary, and a second
 # run against the freshly filled on-disk result cache must replay it
@@ -131,4 +139,4 @@ if ! diff <(grep -v -e '^pc=' -e '^cycles=' -e '^\[' "$ck/straight.txt") \
     exit 1
 fi
 
-echo "tier1: OK (ctest suite + sanitized de_test/common_test/sim_test/checkpoint/serve/litmus suites + all-engine diff incl. block-cache on/off + ppc32 smoke + fuzz smoke + sharded/cache-warm byte-identity + TSan serve/litmus/multi-hart smoke + checkpoint round-trip)"
+echo "tier1: OK (ctest suite + sanitized de_test/common_test/sim_test/checkpoint/serve/litmus suites + all-engine diff incl. block-cache on/off + ppc32 smoke + fuzz smoke + multi-hart campaign + sharded/cache-warm byte-identity + TSan serve/litmus/multi-hart smoke + checkpoint round-trip)"

@@ -30,8 +30,7 @@ void iss::load(const program_image& img) {
     state_ = arch_state{};
     state_.pc = img.entry;
     instret_ = 0;
-    resv_valid_ = false;
-    resv_addr_ = 0;
+    resv_ = {};
     host_.clear();
     dcode_.invalidate_all();
     dcode_.reset_stats();
@@ -43,8 +42,7 @@ void iss::restore_arch(const arch_state& st, std::uint64_t instret,
                        const std::string& console) {
     state_ = st;
     instret_ = instret;
-    resv_valid_ = false;
-    resv_addr_ = 0;
+    resv_ = {};
     host_.seed(console);
     // The caller may have restored memory holding different program bytes
     // at cached pcs.  The decode cache's word tags would catch that per
@@ -70,11 +68,18 @@ bool iss::step_with(const predecoded_inst& pd) {
     const decoded_inst& di = pd.di;
 
     if (di.code == op::invalid || di.code == op::halt) {
+        // Quiesce the hart: its buffered stores become visible before it
+        // leaves the machine, so final memory never depends on whether a
+        // drain happened to be scheduled after the halt.
+        mem_.fence();
         state_.halted = true;
         ++instret_;
         return false;
     }
     if (di.code == op::syscall_op) {
+        // Syscalls are ordering points too: console output reflects
+        // committed memory, and exit quiesces like halt.
+        mem_.fence();
         host_.handle(static_cast<std::uint16_t>(di.imm), state_);
         state_.pc += 4;
         ++instret_;
@@ -116,15 +121,18 @@ bool iss::step_with(const predecoded_inst& pd) {
 }
 
 void iss::step_amo(const decoded_inst& di) {
+    // Every op here is an ordering point: older stores commit first, and
+    // the op's own write commits before the next instruction.  Under a
+    // store buffer the op therefore reads and writes committed memory.
+    mem_.fence();
     const std::uint32_t addr = state_.gpr[di.rs1] & ~3u;
     switch (di.code) {
         case op::lr_w:
             state_.set_gpr(di.rd, mem_.read32(addr));
-            resv_valid_ = true;
-            resv_addr_ = addr;
+            resv_ = {addr, true};
             break;
         case op::sc_w: {
-            const bool ok = resv_valid_ && resv_addr_ == addr;
+            const bool ok = resv_.holds(addr);
             if (ok) {
                 mem_.write32(addr, state_.gpr[di.rs2]);
                 if (block_cache_on_ && bcache_.store_may_hit(addr)) {
@@ -132,7 +140,7 @@ void iss::step_amo(const decoded_inst& di) {
                 }
             }
             // Any sc.w consumes the reservation, success or not.
-            resv_valid_ = false;
+            resv_.valid = false;
             state_.set_gpr(di.rd, ok ? 0u : 1u);
             break;
         }
@@ -147,9 +155,10 @@ void iss::step_amo(const decoded_inst& di) {
             state_.set_gpr(di.rd, old);
             break;
         }
-        default:  // fence: no store buffer on a single hart — pure barrier
+        default:  // fence: the fence() calls around the switch are the barrier
             break;
     }
+    mem_.fence();
 }
 
 // ---- translated-block dispatch ---------------------------------------------
@@ -211,6 +220,7 @@ static_assert(static_cast<int>(op::invalid) == 0 &&
 
 #define OSM_BLOCK_OPS(X)                                                      \
     X(invalid, {                                                              \
+        mem_.fence();                                                         \
         st.halted = true;                                                     \
         st.pc = o->pc;                                                        \
         goto term_done;                                                       \
@@ -445,11 +455,13 @@ static_assert(static_cast<int>(op::invalid) == 0 &&
         OSM_SMC_CHECK(a_, 4)                                                  \
     })                                                                        \
     X(syscall_op, {                                                           \
+        mem_.fence();                                                         \
         host_.handle(static_cast<std::uint16_t>(o->imm), st);                 \
         st.pc = o->pc + 4;                                                    \
         goto term_done;                                                       \
     })                                                                        \
     X(halt, {                                                                 \
+        mem_.fence();                                                         \
         st.halted = true;                                                     \
         st.pc = o->pc;                                                        \
         goto term_done;                                                       \
@@ -458,46 +470,52 @@ static_assert(static_cast<int>(op::invalid) == 0 &&
     /* the final op of its block, so setting pc and leaving via term_done  */ \
     /* keeps the "ordering point at a block boundary" invariant.           */ \
     X(lr_w, {                                                                 \
+        mem_.fence();                                                         \
         const std::uint32_t a_ = st.gpr[o->rs1] & ~3u;                        \
         st.set_gpr(o->rd, mem_.read32(a_));                                   \
-        resv_valid_ = true;                                                   \
-        resv_addr_ = a_;                                                      \
+        resv_ = {a_, true};                                                   \
+        mem_.fence();                                                         \
         st.pc = o->pc + 4;                                                    \
         goto term_done;                                                       \
     })                                                                        \
     X(sc_w, {                                                                 \
+        mem_.fence();                                                         \
         const std::uint32_t a_ = st.gpr[o->rs1] & ~3u;                        \
-        const bool ok_ = resv_valid_ && resv_addr_ == a_;                     \
-        resv_valid_ = false;                                                  \
+        const bool ok_ = resv_.holds(a_);                                     \
+        resv_.valid = false;                                                  \
+        if (ok_) mem_.write32(a_, st.gpr[o->rs2]);                            \
+        mem_.fence();                                                         \
+        st.set_gpr(o->rd, ok_ ? 0u : 1u);                                     \
         if (ok_) {                                                            \
-            mem_.write32(a_, st.gpr[o->rs2]);                                 \
-            st.set_gpr(o->rd, 0u);                                            \
             OSM_SMC_CHECK(a_, 4)                                              \
-        } else {                                                              \
-            st.set_gpr(o->rd, 1u);                                            \
         }                                                                     \
         st.pc = o->pc + 4;                                                    \
         goto term_done;                                                       \
     })                                                                        \
     X(amoadd_w, {                                                             \
+        mem_.fence();                                                         \
         const std::uint32_t a_ = st.gpr[o->rs1] & ~3u;                        \
         const std::uint32_t old_ = mem_.read32(a_);                           \
         mem_.write32(a_, old_ + st.gpr[o->rs2]);                              \
+        mem_.fence();                                                         \
         st.set_gpr(o->rd, old_);                                              \
         OSM_SMC_CHECK(a_, 4)                                                  \
         st.pc = o->pc + 4;                                                    \
         goto term_done;                                                       \
     })                                                                        \
     X(amoswap_w, {                                                            \
+        mem_.fence();                                                         \
         const std::uint32_t a_ = st.gpr[o->rs1] & ~3u;                        \
         const std::uint32_t old_ = mem_.read32(a_);                           \
         mem_.write32(a_, st.gpr[o->rs2]);                                     \
+        mem_.fence();                                                         \
         st.set_gpr(o->rd, old_);                                              \
         OSM_SMC_CHECK(a_, 4)                                                  \
         st.pc = o->pc + 4;                                                    \
         goto term_done;                                                       \
     })                                                                        \
     X(fence, {                                                                \
+        mem_.fence();                                                         \
         st.pc = o->pc + 4;                                                    \
         goto term_done;                                                       \
     })

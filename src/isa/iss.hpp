@@ -3,7 +3,9 @@
 // Both case-study micro-architecture models in the paper are "based on
 // existing ISSs"; this class plays that role.  It also provides the shared
 // syscall host used by every engine so console output and halting behave
-// identically everywhere.
+// identically everywhere.  The multi-hart ISS (mh_iss.hpp) runs one
+// instance per hart over that hart's shared-memory port, so this is the
+// only VR32 interpreter.
 //
 // Two host-side fast paths, both architecturally invisible:
 //   * decode cache — (pc, word)-tagged pre-decoded instructions (PR 2);
@@ -48,19 +50,32 @@ class iss {
 public:
     explicit iss(mem::memory_if& m, bool use_decode_cache = true,
                  bool use_block_cache = true)
-        : mem_(m),
-          decode_cache_on_(use_decode_cache),
-          block_cache_on_(use_block_cache) {}
+        : iss(m, own_host_, own_resv_,
+              use_decode_cache ? decode_cache::k_default_entries : 0, use_block_cache) {}
+
+    /// One hart of a multi-hart machine (mh_iss.hpp): console output goes
+    /// to the shared `host`, the LR/SC reservation lives in `resv` (the
+    /// memory layer's record for this hart, which other harts' commits can
+    /// kill), and there is no block cache.  `decode_entries` sizes the
+    /// decode cache; 0 turns it off.
+    iss(mem::memory_if& m, syscall_host& host, mem::reservation& resv,
+        std::size_t decode_entries)
+        : iss(m, host, resv, decode_entries, false) {}
+
+    /// Holds references into itself (host_, resv_).
+    iss(const iss&) = delete;
+    iss& operator=(const iss&) = delete;
 
     /// Load `img` into memory and point pc at its entry.
     void load(const program_image& img);
 
     /// Adopt a previously captured architectural state: registers, pc and
     /// halt flag from `st`, retired counter `instret`, console stream
-    /// `console`.  Memory is restored separately by the caller (the ISS
-    /// does not own its memory).  Both caches are flushed: the restored
-    /// image may hold different program bytes at cached pcs, so stale
-    /// decodes or translated blocks must never survive a restore.
+    /// `console`; the reservation is cleared.  Memory is restored
+    /// separately by the caller (the ISS does not own its memory).  Both
+    /// caches are flushed: the restored image may hold different program
+    /// bytes at cached pcs, so stale decodes or translated blocks must
+    /// never survive a restore.
     void restore_arch(const arch_state& st, std::uint64_t instret,
                       const std::string& console);
 
@@ -74,7 +89,9 @@ public:
 
     /// Execute one instruction interpretively.  Returns false when already
     /// halted.  An `invalid` opcode halts the machine (modeling an
-    /// undefined-instruction trap).
+    /// undefined-instruction trap).  Halt, invalid and syscalls call
+    /// memory_if::fence() first; lr.w/sc.w/amo*/fence call it before and
+    /// after, so a store-buffered memory sees every ordering point.
     bool step();
 
     /// Run until halt or `max_steps`; returns instructions executed by
@@ -84,36 +101,33 @@ public:
     /// than the next block.
     std::uint64_t run(std::uint64_t max_steps = ~0ull);
 
-    /// Toggle the decoded-instruction cache (architecturally invisible;
-    /// load() clears the cache either way).
-    void set_decode_cache(bool on) noexcept { decode_cache_on_ = on; }
     bool decode_cache_enabled() const noexcept { return decode_cache_on_; }
     const decode_cache_stats& decode_stats() const noexcept { return dcode_.stats(); }
 
-    /// Toggle the translated-block cache.  Toggling flushes the blocks:
-    /// while disabled the store path performs no SMC screening, so blocks
-    /// built earlier can go stale.
-    void set_block_cache(bool on) noexcept {
-        if (on != block_cache_on_) bcache_.invalidate_all();
-        block_cache_on_ = on;
-    }
     bool block_cache_enabled() const noexcept { return block_cache_on_; }
     const block_cache_stats& block_stats() const noexcept { return bcache_.stats(); }
 
     /// Structured report (retired count + cache counters).
     stats::report make_report() const;
 
-    /// LR/SC reservation (single hart: only this hart's lr.w sets it and
-    /// only its sc.w consumes it).  Exposed so checkpoints can carry an
-    /// in-flight reservation across save/restore.
-    bool reservation_valid() const noexcept { return resv_valid_; }
-    std::uint32_t reservation_addr() const noexcept { return resv_addr_; }
-    void set_reservation(bool valid, std::uint32_t addr) noexcept {
-        resv_valid_ = valid;
-        resv_addr_ = addr;
-    }
+    /// LR/SC reservation: only this hart's lr.w sets it and only its sc.w
+    /// consumes it.  Exposed so checkpoints can carry an in-flight
+    /// reservation across save/restore.
+    mem::reservation& reservation() noexcept { return resv_; }
+    const mem::reservation& reservation() const noexcept { return resv_; }
 
 private:
+    /// A disabled cache keeps a one-entry table it never touches.
+    iss(mem::memory_if& m, syscall_host& host, mem::reservation& resv,
+        std::size_t decode_entries, bool use_block_cache)
+        : mem_(m),
+          host_(host),
+          resv_(resv),
+          dcode_(decode_entries == 0 ? 1 : decode_entries),
+          bcache_(use_block_cache ? block_cache::k_default_entries : 1),
+          decode_cache_on_(decode_entries != 0),
+          block_cache_on_(use_block_cache) {}
+
     bool step_with(const predecoded_inst& pd);
     /// lr.w/sc.w/amoadd.w/amoswap.w/fence: the interpretive-path handler
     /// (step_with dispatches here on one compare; pc/instret advance there).
@@ -123,15 +137,16 @@ private:
     std::uint64_t exec_block(const basic_block& blk);
 
     mem::memory_if& mem_;
+    syscall_host own_host_;
+    mem::reservation own_resv_;
+    syscall_host& host_;        ///< own_host_, or the machine's shared host
+    mem::reservation& resv_;    ///< own_resv_, or the memory layer's record
     arch_state state_;
-    syscall_host host_;
     std::uint64_t instret_ = 0;
     decode_cache dcode_;
     block_cache bcache_;
-    bool decode_cache_on_ = true;
-    bool block_cache_on_ = true;
-    bool resv_valid_ = false;        ///< lr.w reservation held
-    std::uint32_t resv_addr_ = 0;    ///< reserved word address (aligned)
+    bool decode_cache_on_;
+    bool block_cache_on_;
 };
 
 }  // namespace osm::isa

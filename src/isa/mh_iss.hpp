@@ -1,6 +1,6 @@
 // Multi-hart instruction-set simulator.
 //
-// N copies of the VR32 architectural state execute over one shared-memory
+// N single-hart ISSs (isa/iss.hpp) execute over one shared-memory
 // subsystem (mem/shared_mem.hpp) under a seeded, deterministic scheduler:
 // each scheduler step picks one runnable hart with the PRNG and retires one
 // instruction on it, and — under TSO — sometimes commits a buffered store
@@ -9,13 +9,17 @@
 // the litmus harness enumerate/replay interleavings and lets two runs be
 // compared byte-for-byte.
 //
-// This is deliberately the plain interpretive core (no decode/block
-// caches): multi-hart workloads are small racy kernels where schedule
-// coverage matters more than single-hart throughput, and the single-hart
-// ISS remains the fast path for everything else.
+// The instruction semantics are the ISS's own; everything multi-hart lives
+// on the memory side.  Hart h executes through shared().port(h), whose
+// fence() drains the hart's store buffer at every ordering point, and keeps
+// its LR/SC reservation in the shared memory's record for h, where another
+// hart's commit can kill it.  Each hart has a decode cache (optional) but
+// no block cache: the scheduler interleaves one instruction at a time, so
+// there is no block to run between scheduling points.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/xrandom.hpp"
@@ -34,10 +38,15 @@ public:
     /// realistic litmus/fuzz configuration (the generators use 2-4).
     static constexpr unsigned max_harts = 64;
 
+    /// Decode-cache lines per hart.  A hart runs one small kernel; a
+    /// single-hart-sized table (4096 lines) per hart made short multi-hart
+    /// runs spend more time building and flushing caches than executing.
+    static constexpr std::size_t hart_decode_entries = 1024;
+
     /// `harts` is clamped to [1, max_harts].  `sched_seed` seeds the scheduler PRNG;
     /// the same seed always produces the same interleaving.
     mh_iss(mem::main_memory& m, unsigned harts, mem::memory_model model,
-           std::uint64_t sched_seed);
+           std::uint64_t sched_seed, bool use_decode_cache = true);
 
     /// Load `img`, reset every hart and reseed the scheduler.  Hart h starts at
     /// img.hart_entries[h] when provided, else at img.entry.
@@ -46,9 +55,8 @@ public:
     unsigned harts() const noexcept { return shared_.harts(); }
     mem::memory_model model() const noexcept { return shared_.model(); }
 
-    arch_state& state(unsigned h) noexcept { return states_[h]; }
-    const arch_state& state(unsigned h) const noexcept { return states_[h]; }
-    std::uint64_t instret(unsigned h) const noexcept { return instret_[h]; }
+    const arch_state& state(unsigned h) const noexcept { return harts_[h]->state(); }
+    std::uint64_t instret(unsigned h) const noexcept { return harts_[h]->instret(); }
     std::uint64_t total_retired() const noexcept;
     bool all_halted() const noexcept;
 
@@ -68,27 +76,21 @@ public:
     /// returns instructions executed by this call.
     std::uint64_t run(std::uint64_t max_insts = ~0ull);
 
-    /// Checkpoint restore: adopt hart `h`'s registers and retired count.
-    /// Store buffers, reservations and the scheduler PRNG are restored
-    /// separately through shared() / sched_rng().
+    /// Checkpoint restore: adopt hart `h`'s registers and retired count
+    /// (iss::restore_arch, so the hart's decode cache is flushed and its
+    /// reservation cleared).  Store buffers, reservations, the console and
+    /// the scheduler PRNG are restored separately through shared() /
+    /// host() / sched_rng().
     void restore_hart(unsigned h, const arch_state& st, std::uint64_t instret) {
-        states_[h] = st;
-        instret_[h] = instret;
+        harts_[h]->restore_arch(st, instret, host_.console());
     }
 
 private:
-    /// Retire one instruction on hart `h`.
-    void step_hart(unsigned h);
-    /// lr.w/sc.w/amo*/fence: ordering point — drain own buffer, then
-    /// operate on committed memory.
-    void step_amo(unsigned h, const decoded_inst& di);
-
     mem::shared_memory shared_;
     syscall_host host_;
     std::uint64_t sched_seed_;
     xrandom rng_;
-    std::vector<arch_state> states_;
-    std::vector<std::uint64_t> instret_;
+    std::vector<std::unique_ptr<iss>> harts_;
 };
 
 }  // namespace osm::isa

@@ -25,6 +25,22 @@ public:
     virtual std::uint32_t read32(std::uint32_t addr);
     virtual void write16(std::uint32_t addr, std::uint16_t value);
     virtual void write32(std::uint32_t addr, std::uint32_t value);
+
+    /// Ordering point: every store written through this interface so far
+    /// becomes visible to other observers before the call returns.  A
+    /// no-op for plain memory; a hart's store-buffered view drains its own
+    /// buffer (shared_mem.hpp).
+    virtual void fence() {}
+};
+
+/// LR/SC reservation on one aligned word.  A single-hart interpreter keeps
+/// its own; shared_memory keeps one per hart and kills it when another
+/// hart's store commits over the word.
+struct reservation {
+    std::uint32_t addr = 0;  ///< word-aligned
+    bool valid = false;
+
+    bool holds(std::uint32_t a) const noexcept { return valid && addr == (a & ~3u); }
 };
 
 /// Result of a timed access: whether the top level hit and the total

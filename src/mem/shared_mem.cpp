@@ -52,10 +52,6 @@ void shared_memory::set_buffer(unsigned h, std::vector<store_entry> entries) {
     bufs_[h].assign(entries.begin(), entries.end());
 }
 
-void shared_memory::set_reservation(unsigned h, std::uint32_t addr) {
-    resv_[h] = {addr & ~3u, true};
-}
-
 void shared_memory::commit(unsigned h, const store_entry& e) {
     switch (e.size) {
         case 1: backing_.write8(e.addr, static_cast<std::uint8_t>(e.data)); break;
@@ -101,5 +97,7 @@ void hart_port::write16(std::uint32_t addr, std::uint16_t value) {
 void hart_port::write32(std::uint32_t addr, std::uint32_t value) {
     shared_->store(hart_, addr, 4, value);
 }
+
+void hart_port::fence() { shared_->drain_all(hart_); }
 
 }  // namespace osm::mem

@@ -18,12 +18,15 @@
 //     only see commits.  This is the classic SPARC/x86-TSO operational
 //     model and is what makes SB's r1==0 && r2==0 outcome reachable.
 //
-// LR/SC reservations live here too: a hart's reservation on a word is
-// killed by any *commit* from a different hart that overlaps the word
-// (own commits keep it, so single-hart behaviour degenerates to the plain
-// ISS).  Everything is plain deterministic data — two runs that issue the
-// same operation sequence observe identical values, which is the
-// byte-reproducibility contract the litmus harness depends on.
+// Ordering points (fence, lr/sc, amo, syscall, halt) reach this layer as
+// memory_if::fence() on the hart's port, which drains that hart's buffer.
+// LR/SC reservations live here too, one record per hart: the hart's
+// interpreter sets and consumes it, and any *commit* from a different hart
+// that overlaps the word kills it (own commits keep it, so single-hart
+// behaviour degenerates to the plain ISS).  Everything is plain
+// deterministic data — two runs that issue the same operation sequence
+// observe identical values, which is the byte-reproducibility contract the
+// litmus harness depends on.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +56,9 @@ struct store_entry {
 class shared_memory;
 
 /// Per-hart memory_if view: reads forward from the owning hart's store
-/// buffer, writes enqueue (TSO) or commit (SC).  This is what the per-hart
-/// interpreters hand to the shared do_load/do_store semantics, so the
-/// single-hart instruction semantics run unchanged on multi-hart memory.
+/// buffer, writes enqueue (TSO) or commit (SC), fence() drains the buffer.
+/// Each hart's isa::iss executes through its port, so the single-hart
+/// interpreter runs unchanged on multi-hart memory.
 class hart_port final : public memory_if {
 public:
     hart_port() = default;
@@ -67,6 +70,7 @@ public:
     void write8(std::uint32_t addr, std::uint8_t value) override;
     void write16(std::uint32_t addr, std::uint16_t value) override;
     void write32(std::uint32_t addr, std::uint32_t value) override;
+    void fence() override;
 
 private:
     shared_memory* shared_ = nullptr;
@@ -97,37 +101,16 @@ public:
     /// Commit hart `h`'s whole buffer in FIFO order.
     void drain_all(unsigned h);
     bool buffer_empty(unsigned h) const { return bufs_[h].empty(); }
-    std::size_t buffer_depth(unsigned h) const { return bufs_[h].size(); }
     const std::deque<store_entry>& buffer(unsigned h) const { return bufs_[h]; }
     /// Checkpoint restore: replace hart `h`'s buffer wholesale.
     void set_buffer(unsigned h, std::vector<store_entry> entries);
 
     // ---- LR/SC reservations ----------------------------------------------
-    /// Acquire a reservation for hart `h` on the word at `addr` (aligned).
-    void set_reservation(unsigned h, std::uint32_t addr);
-    void clear_reservation(unsigned h) { resv_[h].valid = false; }
-    bool reservation_holds(unsigned h, std::uint32_t addr) const {
-        return resv_[h].valid && resv_[h].addr == (addr & ~3u);
-    }
-    bool reservation_valid(unsigned h) const { return resv_[h].valid; }
-    std::uint32_t reservation_addr(unsigned h) const { return resv_[h].addr; }
-    void restore_reservation(unsigned h, bool valid, std::uint32_t addr) {
-        resv_[h] = {addr & ~3u, valid};
-    }
-
-    /// Atomic read-modify-write support: commit a store from hart `h`
-    /// straight to backing memory, bypassing the buffer.  The caller must
-    /// have drained `h`'s buffer first (amo/sc are ordering points).
-    void commit_direct(unsigned h, std::uint32_t addr, unsigned size, std::uint32_t data) {
-        commit(h, {addr, static_cast<std::uint8_t>(size), data});
-    }
+    /// Hart `h`'s reservation record; its interpreter sets and consumes it.
+    reservation& hart_reservation(unsigned h) { return resv_[h]; }
+    const reservation& hart_reservation(unsigned h) const { return resv_[h]; }
 
 private:
-    struct reservation {
-        std::uint32_t addr = 0;  ///< word-aligned
-        bool valid = false;
-    };
-
     /// Write `e` to backing memory and kill overlapping reservations held
     /// by *other* harts.
     void commit(unsigned h, const store_entry& e);

@@ -49,6 +49,12 @@ struct reader {
     void need(std::size_t n) const {
         if (size - pos < n) throw checkpoint_error("checkpoint truncated");
     }
+    /// A length field counting records of at least `unit` bytes each,
+    /// checked against the bytes left before any caller allocates for it.
+    std::size_t length(std::uint64_t n, std::size_t unit = 1) const {
+        if (n > (size - pos) / unit) throw checkpoint_error("checkpoint truncated");
+        return static_cast<std::size_t>(n);
+    }
     std::uint8_t u8() {
         need(1);
         return data[pos++];
@@ -168,7 +174,7 @@ checkpoint deserialize(const std::uint8_t* data, std::size_t n) {
     if (level > static_cast<std::uint8_t>(checkpoint_level::exact))
         throw checkpoint_error("bad checkpoint level");
     ck.level = static_cast<checkpoint_level>(level);
-    ck.engine.resize(r.u32());
+    ck.engine.resize(r.length(r.u32()));
     r.bytes(ck.engine.data(), ck.engine.size());
     ck.arch.pc = r.u32();
     ck.arch.halted = r.u8() != 0;
@@ -176,10 +182,10 @@ checkpoint deserialize(const std::uint8_t* data, std::size_t n) {
     for (std::uint32_t& f : ck.arch.fpr) f = r.u32();
     ck.retired = r.u64();
     ck.cycles = r.u64();
-    ck.console.resize(static_cast<std::size_t>(r.u64()));
+    ck.console.resize(r.length(r.u64()));
     r.bytes(ck.console.data(), ck.console.size());
     const std::uint32_t npages = r.u32();
-    ck.pages.reserve(npages);
+    ck.pages.reserve(r.length(npages, 9));  // u32 base + u32 size + >= 1 byte
     std::uint64_t prev_base = 0;
     for (std::uint32_t i = 0; i < npages; ++i) {
         checkpoint_page p;
@@ -187,13 +193,14 @@ checkpoint deserialize(const std::uint8_t* data, std::size_t n) {
         if (i > 0 && p.base <= prev_base)
             throw checkpoint_error("checkpoint pages out of order");
         prev_base = p.base;
-        p.bytes.resize(r.u32());
-        if (p.bytes.empty() || p.bytes.size() > mem::main_memory::page_size)
+        const std::uint32_t page_bytes = r.u32();
+        if (page_bytes == 0 || page_bytes > mem::main_memory::page_size)
             throw checkpoint_error("bad checkpoint page size");
+        p.bytes.resize(r.length(page_bytes));
         r.bytes(p.bytes.data(), p.bytes.size());
         ck.pages.push_back(std::move(p));
     }
-    ck.micro.resize(static_cast<std::size_t>(r.u64()));
+    ck.micro.resize(r.length(r.u64()));
     r.bytes(ck.micro.data(), ck.micro.size());
     ck.memory_model = r.u8();
     if (ck.memory_model > static_cast<std::uint8_t>(mem::memory_model::tso))
@@ -211,9 +218,7 @@ checkpoint deserialize(const std::uint8_t* data, std::size_t n) {
         h.retired = r.u64();
         h.resv_valid = r.u8() != 0;
         h.resv_addr = r.u32();
-        const std::uint32_t nstores = r.u32();
-        r.need(static_cast<std::size_t>(nstores) * 9);  // u32 + u8 + u32 each
-        h.stores.resize(nstores);
+        h.stores.resize(r.length(r.u32(), 9));  // u32 + u8 + u32 each
         for (mem::store_entry& e : h.stores) {
             e.addr = r.u32();
             e.size = r.u8();

@@ -32,6 +32,22 @@ std::string printable(const std::string& s) {
     return out;
 }
 
+/// Why `cand` cannot be diffed against `ref` on a program with these
+/// features, or "" when it can.
+std::string skip_reason(const engine& ref, const engine& cand, bool fp_program,
+                        bool amo_program) {
+    if (cand.isa() != ref.isa())
+        return "isa mismatch: " + std::string(cand.isa()) + " engine vs " +
+               std::string(ref.isa()) + " reference";
+    if (const unsigned harts = std::max(ref.harts(), cand.harts()); harts > 1)
+        return "multi-hart run (" + std::to_string(harts) +
+               " harts): checked by the litmus harness, not diffed";
+    if (fp_program && !cand.executes_fp()) return "no FP support, program uses FP";
+    if (amo_program && !cand.executes_amo())
+        return "no atomics support, program uses lr/sc/amo/fence";
+    return {};
+}
+
 }  // namespace
 
 end_state capture_end_state(const engine& e) {
@@ -154,23 +170,9 @@ diff_result diff_engines(const std::vector<std::string>& names,
 
     for (std::size_t i = 1; i < names.size(); ++i) {
         auto eng = reg.create(names[i], opt.config);
-        if (eng->isa() != ref->isa()) {
-            result.runs.push_back({names[i], false,
-                                   "isa mismatch: " + std::string(eng->isa()) +
-                                       " engine vs " + std::string(ref->isa()) +
-                                       " reference",
-                                   false, 0, 0});
-            continue;
-        }
-        if (fp_program && !eng->executes_fp()) {
-            result.runs.push_back({names[i], false, "no FP support, program uses FP",
-                                   false, 0, 0});
-            continue;
-        }
-        if (amo_program && !eng->executes_amo()) {
-            result.runs.push_back({names[i], false,
-                                   "no atomics support, program uses lr/sc/amo/fence",
-                                   false, 0, 0});
+        if (std::string why = skip_reason(*ref, *eng, fp_program, amo_program);
+            !why.empty()) {
+            result.runs.push_back({names[i], false, std::move(why), false, 0, 0});
             continue;
         }
         const end_state cand_state = terminal_state(*eng, names[i]);
@@ -205,20 +207,11 @@ lockstep_result lockstep_diff(const std::string& candidate, const isa::program_i
     auto cand = reg.create(candidate, opt.config);
 
     lockstep_result result;
-    if (cand->isa() != ref->isa()) {
-        result.skip_reason = "isa mismatch: " + std::string(cand->isa()) +
-                             " engine vs " + std::string(ref->isa()) + " reference";
-        return result;
-    }
-    const bool fp_program = ref->isa() == "vr32" && program_uses_fp(img);
-    if (fp_program && !cand->executes_fp()) {
-        result.skip_reason = "no FP support, program uses FP";
-        return result;
-    }
-    if (ref->isa() == "vr32" && program_uses_atomics(img) && !cand->executes_amo()) {
-        result.skip_reason = "no atomics support, program uses lr/sc/amo/fence";
-        return result;
-    }
+    // The opcode scans decode VR32 words; they are meaningless for other ISAs.
+    const bool vr32 = ref->isa() == "vr32";
+    result.skip_reason = skip_reason(*ref, *cand, vr32 && program_uses_fp(img),
+                                     vr32 && program_uses_atomics(img));
+    if (!result.skip_reason.empty()) return result;
     result.ran = true;
     const bool compare_fp = ref->executes_fp() && cand->executes_fp();
     // Probes warm-boot both engines from the reference's checkpoint: at an

@@ -1,8 +1,8 @@
 // Adapters binding the built-in execution engines to the unified
-// sim::engine contract, plus their registry registration.  Seven VR32
-// engines, plus the two PPC32 front-end engines generated from
-// src/isa/specs/ppc32.spec (isa() == "ppc32": the harnesses only diff
-// them against each other).
+// sim::engine contract, plus their registry registration.  Eight VR32
+// engines (mh-iss among them), plus the two PPC32 front-end engines
+// generated from src/isa/specs/ppc32.spec (isa() == "ppc32": the harnesses
+// only diff them against each other).
 //
 // Each adapter owns its model *and* the main memory behind it, so an
 // engine instance is a self-contained machine: tools and tests never
@@ -135,8 +135,8 @@ public:
         checkpoint_hart h0;
         h0.arch = sim_.state();
         h0.retired = sim_.instret();
-        h0.resv_valid = sim_.reservation_valid();
-        h0.resv_addr = sim_.reservation_addr();
+        h0.resv_valid = sim_.reservation().valid;
+        h0.resv_addr = sim_.reservation().addr;
         ck.harts.push_back(std::move(h0));
         return ck;
     }
@@ -146,7 +146,7 @@ public:
         restore_memory(mem_, ck.pages);
         sim_.restore_arch(ck.arch, ck.retired, ck.console);
         if (ck.harts.size() == 1)
-            sim_.set_reservation(ck.harts[0].resv_valid, ck.harts[0].resv_addr);
+            sim_.reservation() = {ck.harts[0].resv_addr, ck.harts[0].resv_valid};
     }
 
 protected:
@@ -158,17 +158,17 @@ private:
 };
 
 /// Multi-hart functional ISS: N harts over SC/TSO shared memory under a
-/// seeded deterministic scheduler (isa/mh_iss.hpp).  Registered with its
-/// own isa() string so the single-ISA differential harnesses never try to
-/// diff a 4-hart machine against single-hart engines; the litmus harness
-/// (fuzz/litmus.hpp) is its dedicated oracle instead.
+/// seeded deterministic scheduler (isa/mh_iss.hpp).  A 1-hart instance is
+/// an ordinary VR32 engine and joins every differential sweep; with
+/// harts() > 1 the differential harnesses skip it and the litmus harness
+/// (fuzz/litmus.hpp) is its oracle instead.
 class mh_iss_engine final : public engine {
 public:
     explicit mh_iss_engine(const engine_config& cfg)
-        : cfg_(cfg), sim_(mem_, cfg.harts, cfg.memory_model, cfg.sched_seed) {}
+        : cfg_(cfg),
+          sim_(mem_, cfg.harts, cfg.memory_model, cfg.sched_seed, cfg.decode_cache) {}
 
     std::string_view name() const override { return "mh-iss"; }
-    std::string_view isa() const override { return "vr32-mh"; }
     void load(const isa::program_image& img) override {
         mem_.clear();
         sim_.load(img);
@@ -212,8 +212,8 @@ public:
             checkpoint_hart rec;
             rec.arch = sim_.state(h);
             rec.retired = sim_.instret(h);
-            rec.resv_valid = shared.reservation_valid(h);
-            rec.resv_addr = shared.reservation_addr(h);
+            rec.resv_valid = shared.hart_reservation(h).valid;
+            rec.resv_addr = shared.hart_reservation(h).addr;
             const auto& buf = shared.buffer(h);
             rec.stores.assign(buf.begin(), buf.end());
             ck.harts.push_back(std::move(rec));
@@ -233,7 +233,7 @@ public:
             const checkpoint_hart& rec = ck.harts[h];
             sim_.restore_hart(h, rec.arch, rec.retired);
             sim_.shared().set_buffer(h, rec.stores);
-            sim_.shared().restore_reservation(h, rec.resv_valid, rec.resv_addr);
+            sim_.shared().hart_reservation(h) = {rec.resv_addr & ~3u, rec.resv_valid};
         }
         sim_.host().seed(ck.console);
         sim_.sched_rng().set_state(ck.sched_rng != 0 ? ck.sched_rng : cfg_.sched_seed);
@@ -506,8 +506,7 @@ engine_registry::entry make_entry(std::string name, std::string description,
 void register_builtin_engines(engine_registry& r) {
     r.add(make_entry<iss_engine>("iss", "functional instruction-set simulator (golden model)"));
     r.add(make_entry<mh_iss_engine>(
-        "mh-iss", "multi-hart functional ISS (SC/TSO shared memory, seeded scheduler)",
-        "vr32-mh"));
+        "mh-iss", "multi-hart functional ISS (SC/TSO shared memory, seeded scheduler)"));
     r.add(make_entry<timing_engine<sarm_traits>>("sarm", "OSM StrongARM-like 5-stage in-order pipeline (paper 5.1)"));
     r.add(make_entry<timing_engine<hw_traits>>("hw", "hand-coded cycle simulator of the SARM pipeline (SimpleScalar surrogate)"));
     r.add(make_entry<timing_engine<adl_traits>>("adl", "SARM elaborated from OSM-DL text (paper 7)"));

@@ -163,6 +163,61 @@ TEST(CheckpointFormat, RejectsUnorderedPages) {
     EXPECT_THROW(sim::deserialize(buf), sim::checkpoint_error);
 }
 
+// A length field set far past the file's size, under a valid checksum,
+// must be rejected before the reader allocates for it (a 2^40-byte
+// console used to die in std::bad_alloc).
+TEST(CheckpointFormat, RejectsHugeLengthFieldsBeforeAllocating) {
+    auto ck = sample_checkpoint();
+    sim::checkpoint_hart h;
+    h.stores.push_back({0x100, 4, 7});
+    ck.harts.push_back(h);
+    const auto buf = sim::serialize(ck);
+
+    struct field {
+        const char* name;
+        std::size_t offset;
+        unsigned width;
+        std::uint64_t value;  ///< what the field holds in `buf`
+    };
+    // Walk serialize()'s layout: magic, version, level, then the fields.
+    std::vector<field> fields;
+    std::size_t at = 8 + 4 + 1;
+    fields.push_back({"engine", at, 4, ck.engine.size()});
+    at += 4 + ck.engine.size() + 4 + 1 + 4 * 64 + 8 + 8;  // pc .. cycles
+    fields.push_back({"console", at, 8, ck.console.size()});
+    at += 8 + ck.console.size();
+    fields.push_back({"page count", at, 4, ck.pages.size()});
+    at += 4;
+    fields.push_back({"page bytes", at + 4, 4, ck.pages[0].bytes.size()});
+    for (const auto& p : ck.pages) at += 8 + p.bytes.size();
+    fields.push_back({"micro", at, 8, ck.micro.size()});
+    at += 8 + ck.micro.size() + 1 + 8 + 4;  // micro, model, sched rng, hart count
+    at += 4 + 1 + 4 * 64 + 8 + 1 + 4;        // hart pc .. reservation
+    fields.push_back({"store count", at, 4, ck.harts[0].stores.size()});
+
+    for (const field& f : fields) {
+        const auto read = [&](const std::vector<std::uint8_t>& b) {
+            std::uint64_t v = 0;
+            for (unsigned i = 0; i < f.width; ++i)
+                v |= static_cast<std::uint64_t>(b[f.offset + i]) << (8 * i);
+            return v;
+        };
+        ASSERT_EQ(read(buf), f.value) << f.name << ": layout walk is off";
+        auto bad = buf;
+        const std::uint64_t huge = f.width == 8 ? 1ull << 40 : 0xFFFFFFFFull;
+        for (unsigned i = 0; i < f.width; ++i)
+            bad[f.offset + i] = static_cast<std::uint8_t>(huge >> (8 * i));
+        std::uint64_t sum = 0xcbf29ce484222325ull;  // re-sign the FNV-1a trailer
+        for (std::size_t i = 0; i < bad.size() - 8; ++i) {
+            sum ^= bad[i];
+            sum *= 0x100000001b3ull;
+        }
+        for (std::size_t i = 0; i < 8; ++i)
+            bad[bad.size() - 8 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+        EXPECT_THROW(sim::deserialize(bad), sim::checkpoint_error) << f.name;
+    }
+}
+
 TEST(CheckpointFormat, FileSaveLoadWritesBinaryAndSidecar) {
     const auto dir = std::filesystem::temp_directory_path() /
                      ("ckpt_file_" + std::to_string(::getpid()));

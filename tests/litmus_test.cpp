@@ -3,8 +3,10 @@
 // multi-hart ISS must never escape the exhaustively enumerated outcome set
 // of its configured model (SC or TSO); the model-distinguishing outcomes
 // must actually be reached (SB's r1==0 && r2==0 under TSO) and stay
-// unreachable where forbidden (SB under SC, SB+fences under both); and
-// every run is a deterministic function of (test, model, schedule seed).
+// unreachable where forbidden (SB under SC, SB+fences under both); every
+// run is a deterministic function of (test, model, schedule seed); and a
+// hart fetching code it just stored sees its own buffered store while the
+// other hart sees committed memory, through each hart's decode cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,8 +19,12 @@
 
 #include "common/xrandom.hpp"
 #include "fuzz/litmus.hpp"
+#include "isa/assembler.hpp"
+#include "isa/encoding.hpp"
 #include "isa/mh_iss.hpp"
 #include "mem/main_memory.hpp"
+#include "sim/diff_runner.hpp"
+#include "sim/registry.hpp"
 
 #ifndef OSM_LITMUS_CORPUS_DIR
 #define OSM_LITMUS_CORPUS_DIR "tests/corpus/litmus"
@@ -239,6 +245,107 @@ TEST(LitmusDeterminism, RunLitmusIsReproducibleSeedBySeed) {
             EXPECT_EQ(a, b) << mem::memory_model_name(model) << " seed " << sched;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Self-modifying code through the per-hart decode caches.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t k_patch_site = 0x1000;
+constexpr unsigned k_a0 = 4, k_a1 = 5;
+
+/// The word `addi a0, zero, 2`, which hart 0 stores over the patch site.
+std::uint32_t patched_word() {
+    return isa::encode(isa::decoded_inst{isa::op::addi, k_a0, 0, 0, 2});
+}
+
+/// Both harts call the subroutine at k_patch_site, which sets a0 = 1.  Hart
+/// 0 calls it once (caching the decode), stores `addi a0, zero, 2` over it,
+/// calls it again and leaves 1 + 2 in a1.  Hart 1 calls it in a loop.
+isa::program_image smc_program() {
+    const std::string src =
+        "patch:  addi a0, zero, 1\n"  // text base 0x1000
+        "        ret\n"
+        "        .align 256\n"  // hart 0 at 0x1100
+        "        call patch\n"
+        "        mv a1, a0\n"
+        "        li t0, 4096\n"
+        "        li t1, " + std::to_string(patched_word()) + "\n"
+        "        sw t1, 0(t0)\n"
+        "        call patch\n"
+        "        add a1, a1, a0\n"
+        "        halt\n"
+        "        .align 256\n"  // hart 1 at 0x1200
+        "        li t2, 12\n"
+        "loop:   call patch\n"
+        "        addi t2, t2, -1\n"
+        "        bne t2, zero, loop\n"
+        "        halt\n";
+    auto img = isa::assemble(src);
+    img.entry = 0x1100;
+    img.hart_entries = {0x1100, 0x1200};
+    return img;
+}
+
+// Under TSO hart 0's store waits in its own buffer.  Hart 0 must fetch the
+// forwarded word (its decode cache re-decodes the line it cached on the
+// first call); hart 1 must fetch committed memory, so it sees the new
+// instruction exactly when the store has drained.  Checked at every
+// execution of the patch site, over enough schedules to reach each case.
+TEST(LitmusSelfModifyingCode, HartFetchesItsOwnBufferedStoreAndOnlyItsOwn) {
+    const std::uint32_t new_word = patched_word();
+    const auto img = smc_program();
+    unsigned own_forwarded = 0, other_stale = 0, other_new = 0;
+    for (std::uint64_t sched = 1; sched <= 200; ++sched) {
+        mem::main_memory m;
+        isa::mh_iss sim(m, 2, mem::memory_model::tso, sched);
+        sim.load(img);
+        unsigned own_calls = 0;
+        for (unsigned n = 0; n < 10'000 && !sim.all_halted(); ++n) {
+            const std::uint32_t pc[2] = {sim.state(0).pc, sim.state(1).pc};
+            const std::uint64_t ret[2] = {sim.instret(0), sim.instret(1)};
+            sim.step();
+            // A step drains before it executes, and a hart's own step never
+            // drains the other hart's buffer: memory after the step is what
+            // the executing hart fetched from.
+            const bool committed = m.read32(k_patch_site) == new_word;
+            const bool buffered = !sim.shared().buffer_empty(0);
+            if (pc[0] == k_patch_site && sim.instret(0) != ret[0]) {
+                ++own_calls;
+                ASSERT_EQ(sim.state(0).gpr[k_a0], own_calls == 1 ? 1u : 2u)
+                    << "schedule " << sched << " call " << own_calls;
+                if (own_calls == 2 && buffered) ++own_forwarded;
+            }
+            if (pc[1] == k_patch_site && sim.instret(1) != ret[1]) {
+                ASSERT_EQ(sim.state(1).gpr[k_a0], committed ? 2u : 1u)
+                    << "schedule " << sched;
+                if (committed) ++other_new;
+                if (buffered) ++other_stale;
+            }
+        }
+        ASSERT_TRUE(sim.all_halted()) << "schedule " << sched;
+        EXPECT_EQ(sim.state(0).gpr[k_a1], 3u) << "schedule " << sched;
+    }
+    EXPECT_GT(own_forwarded, 0u) << "no schedule fetched the patch from the buffer";
+    EXPECT_GT(other_stale, 0u) << "no schedule ran the old word beside a buffered patch";
+    EXPECT_GT(other_new, 0u) << "no schedule showed the other hart the committed patch";
+}
+
+// With one hart under SC, mh-iss is the plain ISS: the same program (hart
+// 0's part) must end in the same state as on iss, whose translated blocks
+// take the self-modifying store through the block cache instead.
+TEST(LitmusSelfModifyingCode, OneHartScMatchesIss) {
+    auto img = smc_program();
+    img.hart_entries.clear();
+    const auto res = sim::diff_engines({"iss", "mh-iss"}, img);
+    ASSERT_EQ(res.runs.size(), 2u);
+    EXPECT_TRUE(res.runs[1].ran) << res.runs[1].skip_reason;
+    EXPECT_TRUE(res.divergences.empty()) << res.divergences.front().to_string();
+    auto e = sim::make_engine("mh-iss");
+    e->load(img);
+    e->run(10'000);
+    EXPECT_TRUE(e->halted());
+    EXPECT_EQ(e->gpr(k_a1), 3u);
 }
 
 }  // namespace

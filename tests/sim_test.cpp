@@ -125,8 +125,10 @@ struct reload_case {
 
 /// For each ISA, a random pair (a real timing history: caches, predictors,
 /// counters) and a pair whose second program reads a word only the first
-/// one wrote (memory left over from the previous program).
-std::vector<reload_case> reload_cases(const std::string& isa_name) {
+/// one wrote (memory left over from the previous program).  mh-iss runs
+/// its pairs as a 2-hart TSO machine.
+std::vector<reload_case> reload_cases(const std::string& isa_name,
+                                      const std::string& engine_name) {
     reload_case rnd, mem;
     if (isa_name == "ppc32") {
         ppc32::randprog_options opt;
@@ -140,14 +142,13 @@ std::vector<reload_case> reload_cases(const std::string& isa_name) {
             "li r4, 16384\n lwz r3, 0(r4)\n li r0, 2\n sc\n li r0, 0\n sc\n");
         return {rnd, mem};
     }
+    EXPECT_EQ(isa_name, "vr32") << "no reload programs for this isa";
     workloads::randprog_options opt;
-    if (isa_name == "vr32-mh") {
+    if (engine_name == "mh-iss") {
         opt.harts = 2;
         opt.shared_contention = true;
         rnd.cfg.harts = mem.cfg.harts = 2;
         rnd.cfg.memory_model = mem.cfg.memory_model = mem::memory_model::tso;
-    } else {
-        EXPECT_EQ(isa_name, "vr32") << "no reload programs for this isa";
     }
     opt.seed = 5;
     rnd.first = workloads::make_random_program(opt);
@@ -183,7 +184,7 @@ void expect_same_run(sim::engine& reused, sim::engine& fresh, const std::string&
 TEST(EngineAdapters, ReloadMatchesFreshEngine) {
     constexpr std::uint64_t budget = 2'000'000;
     for (const auto& entry : sim::engine_registry::instance().entries()) {
-        for (const auto& c : reload_cases(entry.isa)) {
+        for (const auto& c : reload_cases(entry.isa, entry.name)) {
             auto fresh = entry.make(c.cfg);
             fresh->load(c.second);
             fresh->run(budget);
