@@ -15,7 +15,8 @@ cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
 cmake -B build-asan -S . -DOSM_SANITIZE=ON
-cmake --build build-asan -j --target de_test common_test sim_test checkpoint_test serve_test litmus_test osm-run osm-fuzz
+cmake --build build-asan -j --target de_test common_test sim_test adl_test adl_sarm_test \
+    checkpoint_test serve_test litmus_test osm-run osm-fuzz
 ./build-asan/tests/de_test
 ./build-asan/tests/common_test
 
@@ -23,6 +24,12 @@ cmake --build build-asan -j --target de_test common_test sim_test checkpoint_tes
 # adapter rebuilds its model on reload and on restore, while director()
 # and kernel() hand out raw pointers into that model.
 ./build-asan/tests/sim_test
+
+# OSM-DL under the sanitizers: the parser reads outside text (range and
+# slot checks), and the adl engine is sarm_model running a graph
+# elaborated from that text onto its own managers and actions.
+./build-asan/tests/adl_test
+./build-asan/tests/adl_sarm_test
 
 # Checkpoint suite under the sanitizers: round-trip property, golden
 # byte-stability, lockstep bisection (ctest -L checkpoint discovers the
@@ -139,4 +146,4 @@ if ! diff <(grep -v -e '^pc=' -e '^cycles=' -e '^\[' "$ck/straight.txt") \
     exit 1
 fi
 
-echo "tier1: OK (ctest suite + sanitized de_test/common_test/sim_test/checkpoint/serve/litmus suites + all-engine diff incl. block-cache on/off + ppc32 smoke + fuzz smoke + multi-hart campaign + sharded/cache-warm byte-identity + TSan serve/litmus/multi-hart smoke + checkpoint round-trip)"
+echo "tier1: OK (ctest suite + sanitized de_test/common_test/sim_test/adl_test/adl_sarm_test/checkpoint/serve/litmus suites + all-engine diff incl. block-cache on/off + ppc32 smoke + fuzz smoke + multi-hart campaign + sharded/cache-warm byte-identity + TSan serve/litmus/multi-hart smoke + checkpoint round-trip)"

@@ -1,7 +1,8 @@
 #include "adl/adl.hpp"
 
 #include <cctype>
-#include <optional>
+#include <limits>
+#include <utility>
 
 #include "uarch/inorder_queue.hpp"
 #include "uarch/register_file.hpp"
@@ -69,12 +70,15 @@ struct token_stream {
         }
         return false;
     }
-    std::uint64_t number(const char* what) {
+    /// A decimal or 0x-hex number no larger than `max`, the largest value
+    /// of the field it fills.
+    std::uint64_t number(const char* what,
+                         std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
         const unsigned ln = line();
         const std::string t = next(what);
         std::uint64_t v = 0;
         std::size_t i = 0;
-        int base = 10;
+        unsigned base = 10;
         if (t.size() > 2 && t[0] == '0' && (t[1] == 'x' || t[1] == 'X')) {
             base = 16;
             i = 2;
@@ -82,12 +86,18 @@ struct token_stream {
         if (i >= t.size()) throw adl_error(ln, std::string("bad number for ") + what);
         for (; i < t.size(); ++i) {
             const char c = t[i];
-            int d;
-            if (c >= '0' && c <= '9') d = c - '0';
-            else if (base == 16 && c >= 'a' && c <= 'f') d = 10 + c - 'a';
-            else if (base == 16 && c >= 'A' && c <= 'F') d = 10 + c - 'A';
+            unsigned d;
+            if (c >= '0' && c <= '9') d = static_cast<unsigned>(c - '0');
+            else if (base == 16 && c >= 'a' && c <= 'f') d = 10u + static_cast<unsigned>(c - 'a');
+            else if (base == 16 && c >= 'A' && c <= 'F') d = 10u + static_cast<unsigned>(c - 'A');
             else throw adl_error(ln, std::string("bad number for ") + what);
-            v = v * static_cast<unsigned>(base) + static_cast<unsigned>(d);
+            if (v > (std::numeric_limits<std::uint64_t>::max() - d) / base) {
+                throw adl_error(ln, std::string(what) + " '" + t + "' overflows 64 bits");
+            }
+            v = v * base + d;
+        }
+        if (v > max) {
+            throw adl_error(ln, std::string(what) + " " + t + " exceeds " + std::to_string(max));
         }
         return v;
     }
@@ -104,16 +114,23 @@ core::token_manager* machine::find_manager(std::string_view mgr_name) const {
 
 std::unique_ptr<machine> parse_machine(std::string_view source,
                                        const action_registry& actions,
-                                       bool allow_missing_actions) {
+                                       bool allow_missing_actions,
+                                       const manager_registry& managers) {
+    constexpr std::uint64_t k_unsigned_max = std::numeric_limits<unsigned>::max();
+    constexpr std::uint64_t k_int32_max = std::numeric_limits<std::int32_t>::max();
+
     token_stream ts(source);
     auto mc = std::make_unique<machine>();
     std::map<std::string, core::state_id, std::less<>> states;
     bool have_initial = false;
+    // (line, index) of every `slot n`, checked against the final `slots`.
+    std::vector<std::pair<unsigned, std::int32_t>> slot_uses;
 
     const auto get_manager = [&](unsigned ln, const std::string& name) {
-        core::token_manager* m = mc->find_manager(name);
-        if (m == nullptr) throw adl_error(ln, "unknown manager '" + name + "'");
-        return m;
+        if (core::token_manager* m = mc->find_manager(name)) return m;
+        const auto it = managers.find(name);
+        if (it == managers.end()) throw adl_error(ln, "unknown manager '" + name + "'");
+        return it->second;
     };
 
     while (!ts.eof()) {
@@ -122,41 +139,51 @@ std::unique_ptr<machine> parse_machine(std::string_view source,
         if (kw == "machine") {
             mc->name = ts.next("machine name");
         } else if (kw == "slots") {
-            mc->graph.set_ident_slots(static_cast<std::int32_t>(ts.number("slot count")));
+            mc->graph.set_ident_slots(
+                static_cast<std::int32_t>(ts.number("slot count", k_int32_max)));
         } else if (kw == "manager") {
             const std::string kind = ts.next("manager kind");
             const std::string name = ts.next("manager name");
             if (mc->find_manager(name) != nullptr) {
                 throw adl_error(ln, "duplicate manager '" + name + "'");
             }
+            if (managers.count(name) != 0) {
+                throw adl_error(ln, "manager '" + name + "' is supplied by the model");
+            }
             if (kind == "unit") {
                 mc->managers.push_back(std::make_unique<core::unit_token_manager>(name));
             } else if (kind == "pool") {
                 ts.expect("capacity");
-                const auto cap = static_cast<unsigned>(ts.number("capacity"));
+                const auto cap = static_cast<unsigned>(ts.number("capacity", k_unsigned_max));
                 mc->managers.push_back(
                     std::make_unique<core::pool_token_manager>(name, cap));
             } else if (kind == "queue") {
                 ts.expect("capacity");
-                const auto cap = static_cast<unsigned>(ts.number("capacity"));
+                const auto cap = static_cast<unsigned>(ts.number("capacity", k_unsigned_max));
                 unsigned abw = 0;
                 unsigned rbw = 0;
-                if (ts.accept("alloc_bw")) abw = static_cast<unsigned>(ts.number("alloc_bw"));
-                if (ts.accept("release_bw")) rbw = static_cast<unsigned>(ts.number("release_bw"));
+                if (ts.accept("alloc_bw")) {
+                    abw = static_cast<unsigned>(ts.number("alloc_bw", k_unsigned_max));
+                }
+                if (ts.accept("release_bw")) {
+                    rbw = static_cast<unsigned>(ts.number("release_bw", k_unsigned_max));
+                }
                 mc->managers.push_back(
                     std::make_unique<uarch::inorder_queue_manager>(name, cap, abw, rbw));
             } else if (kind == "regfile") {
                 ts.expect("regs");
-                const auto regs = static_cast<unsigned>(ts.number("regs"));
+                const auto regs = static_cast<unsigned>(
+                    ts.number("regs", uarch::register_file_manager::max_regs));
                 const bool zero = ts.accept("zero");
                 const bool fwd = ts.accept("forwarding");
                 mc->managers.push_back(std::make_unique<uarch::register_file_manager>(
                     name, regs, zero, fwd));
             } else if (kind == "rename") {
                 ts.expect("regs");
-                const auto regs = static_cast<unsigned>(ts.number("regs"));
+                const auto regs =
+                    static_cast<unsigned>(ts.number("regs", uarch::rename_manager::max_regs));
                 ts.expect("buffers");
-                const auto bufs = static_cast<unsigned>(ts.number("buffers"));
+                const auto bufs = static_cast<unsigned>(ts.number("buffers", k_unsigned_max));
                 const bool zero = ts.accept("zero");
                 mc->managers.push_back(
                     std::make_unique<uarch::rename_manager>(name, regs, bufs, zero));
@@ -182,7 +209,7 @@ std::unique_ptr<machine> parse_machine(std::string_view source,
             if (!states.count(from)) throw adl_error(ln, "unknown state '" + from + "'");
             if (!states.count(to)) throw adl_error(ln, "unknown state '" + to + "'");
             int prio = 0;
-            if (ts.accept("priority")) prio = static_cast<int>(ts.number("priority"));
+            if (ts.accept("priority")) prio = static_cast<int>(ts.number("priority", k_int32_max));
             const std::int32_t e =
                 mc->graph.add_edge(states[from], states[to], prio);
             ts.expect("{");
@@ -212,8 +239,10 @@ std::unique_ptr<machine> parse_machine(std::string_view source,
                 core::token_manager* mgr = get_manager(pln, ts.next("manager name"));
                 core::ident_expr ie;
                 if (ts.accept("slot")) {
-                    ie = core::ident_expr::from_slot(
-                        static_cast<std::int32_t>(ts.number("slot index")));
+                    const auto idx =
+                        static_cast<std::int32_t>(ts.number("slot index", k_int32_max));
+                    slot_uses.emplace_back(pln, idx);
+                    ie = core::ident_expr::from_slot(idx);
                 } else {
                     ie = core::ident_expr::value(ts.number("identifier"));
                 }
@@ -229,6 +258,13 @@ std::unique_ptr<machine> parse_machine(std::string_view source,
 
     if (mc->graph.num_states() == 0) {
         throw adl_error(ts.line(), "machine has no states");
+    }
+    const std::int32_t slots = mc->graph.ident_slots();
+    for (const auto& [ln, idx] : slot_uses) {
+        if (idx >= slots) {
+            throw adl_error(ln, "slot " + std::to_string(idx) + " outside [0, " +
+                                    std::to_string(slots) + ") declared by 'slots'");
+        }
     }
     mc->graph.finalize();
     return mc;

@@ -27,8 +27,13 @@
 //     action <name>                    ; resolved via the action registry
 //   }
 //
-// Elaboration produces an owning `machine`: the managers plus a finalized
-// core::osm_graph ready for instantiating OSMs and running a director.
+// A primitive may also name a manager the embedding model supplies through
+// the manager registry, so a text can bind to a hardware layer that lives
+// in C++ (src/sarm binds its own managers and actions this way).
+//
+// Elaboration produces an owning `machine`: the declared managers plus a
+// finalized core::osm_graph ready for instantiating OSMs and running a
+// director.
 #pragma once
 
 #include <functional>
@@ -61,20 +66,27 @@ private:
 using action_registry =
     std::map<std::string, core::edge_action, std::less<>>;
 
+/// Named token managers supplied (and owned) by the embedding model.
+using manager_registry =
+    std::map<std::string, core::token_manager*, std::less<>>;
+
 /// An elaborated machine: owning managers + a finalized graph.
 struct machine {
     std::string name;
     std::vector<std::unique_ptr<core::token_manager>> managers;
     core::osm_graph graph{"adl"};
 
-    /// Look up a manager by name (nullptr when absent).
+    /// Look up a declared manager by name (nullptr when absent).
     core::token_manager* find_manager(std::string_view mgr_name) const;
 };
 
 /// Parse and elaborate an OSM-DL description.  Unknown action names raise
 /// adl_error unless `allow_missing_actions` (then they become no-ops).
+/// Primitives may name the managers in `managers` as well as declared ones;
+/// declaring a name that `managers` already supplies is an error.
 std::unique_ptr<machine> parse_machine(std::string_view source,
                                        const action_registry& actions = {},
-                                       bool allow_missing_actions = false);
+                                       bool allow_missing_actions = false,
+                                       const manager_registry& managers = {});
 
 }  // namespace osm::adl

@@ -1,108 +1,23 @@
-// The complete SARM case study expressed in OSM-DL.
+// The SARM case study's operation layer expressed in OSM-DL.
 //
 // The paper argues that the declarative part of an OSM model — states,
 // edges, token transactions — can be synthesized from an architecture
-// description language, leaving only the operation semantics in code.
-// This class demonstrates exactly that split on the §5.1 case study: the
-// 5-stage machine structure lives in an OSM-DL string (`sarm_osmdl()`),
-// the semantics (fetch/decode, execute, memory, retire — the paper's
-// "decoding and OSM initialization" share) are bound through the action
-// registry, and the result is validated cycle-for-cycle against the
-// hand-built `sarm::sarm_model` in tests/adl_sarm_test.cpp.
+// description language, leaving the hardware layer and the operation
+// semantics in code.  `sarm_osmdl()` is that declarative part for the §5.1
+// case study: `sarm::sarm_model` constructed with this text elaborates its
+// OSM graph from it, binding the text's manager and action names to the
+// model's own token managers (m_f ... m_reset) and edge actions, instead
+// of calling its hand-built build_graph().  That model is the `adl` engine,
+// validated cycle-for-cycle against the hand-built graph in
+// tests/adl_sarm_test.cpp.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "adl/adl.hpp"
-#include "core/director.hpp"
-#include "core/sim_kernel.hpp"
-#include "isa/iss.hpp"
-#include "isa/program.hpp"
-#include "mem/bus.hpp"
-#include "mem/cache.hpp"
-#include "mem/main_memory.hpp"
-#include "mem/tlb.hpp"
-#include "sarm/sarm.hpp"
-#include "uarch/register_file.hpp"
-#include "uarch/reset.hpp"
 
 namespace osm::adl {
 
 /// The OSM-DL source describing the SARM operation layer (paper Fig. 6
 /// plus the §4 reset edges and the multiplier of §5.1).
 std::string sarm_osmdl();
-
-/// SARM elaborated from text.  Mirrors sarm::sarm_model's interface; the
-/// hardware layer (caches, TLBs, bus) stays in C++, as in the paper.
-class adl_sarm_model {
-public:
-    adl_sarm_model(const sarm::sarm_config& cfg, mem::main_memory& memory);
-
-    void load(const isa::program_image& img);
-    /// Adopt checkpointed architectural state (call after load()): registers,
-    /// fetch pc, halt flag and console; the elaborated pipeline stays empty.
-    void restore_arch(const isa::arch_state& st, const std::string& console);
-    std::uint64_t run(std::uint64_t max_cycles = ~0ull);
-
-    bool halted() const noexcept { return halted_; }
-    const sarm::sarm_stats& stats() const noexcept { return stats_; }
-    std::uint32_t gpr(unsigned r) const { return m_r_->arch_read(r); }
-    std::uint32_t fpr(unsigned r) const { return m_fr_->arch_read(r); }
-    /// Next-fetch pc (speculative: may point past the halt after the end).
-    std::uint32_t fetch_pc() const noexcept { return fetch_pc_; }
-    const std::string& console() const { return host_.console(); }
-    const core::osm_graph& graph() const noexcept { return machine_->graph; }
-    core::director& dir() noexcept { return dir_; }
-    core::sim_kernel& kernel() noexcept { return kern_; }
-
-    /// Structured report of every counter (JSON-renderable).
-    stats::report make_report() const;
-
-private:
-    class op_ctx;  // the operation subclass
-
-    void on_cycle();
-    void act_fetch(core::osm& m);
-    void act_execute(core::osm& m);
-    void act_mem(core::osm& m);
-    void act_buffer_exit(core::osm& m);
-    void act_retire(core::osm& m);
-
-    sarm::sarm_config cfg_;
-    mem::main_memory& mem_;
-    mem::fixed_latency_mem dram_t_;
-    mem::bus bus_;
-    mem::cache icache_;
-    mem::cache dcache_;
-    mem::tlb itlb_;
-    mem::tlb dtlb_;
-    isa::decode_cache dcode_;
-
-    std::unique_ptr<machine> machine_;
-    // Managers resolved by name from the elaborated machine.
-    core::unit_token_manager* m_f_ = nullptr;
-    core::unit_token_manager* m_d_ = nullptr;
-    core::unit_token_manager* m_e_ = nullptr;
-    core::unit_token_manager* m_b_ = nullptr;
-    core::unit_token_manager* m_w_ = nullptr;
-    core::unit_token_manager* m_mul_ = nullptr;
-    uarch::register_file_manager* m_r_ = nullptr;
-    uarch::register_file_manager* m_fr_ = nullptr;
-    uarch::reset_manager* m_reset_ = nullptr;
-
-    core::director dir_;
-    core::sim_kernel kern_;
-    std::vector<std::unique_ptr<core::osm>> ops_;
-    isa::syscall_host host_;
-
-    std::uint32_t fetch_pc_ = 0;
-    std::uint32_t epoch_ = 0;
-    bool redirect_pending_ = false;
-    std::uint32_t redirect_target_ = 0;
-    bool halted_ = false;
-    sarm::sarm_stats stats_;
-};
 
 }  // namespace osm::adl

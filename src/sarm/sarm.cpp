@@ -13,7 +13,8 @@ using isa::op;
 using uarch::reg_update_ident;
 using uarch::reg_value_ident;
 
-sarm_model::sarm_model(const sarm_config& cfg, mem::main_memory& memory)
+sarm_model::sarm_model(const sarm_config& cfg, mem::main_memory& memory,
+                       std::string_view osmdl)
     : cfg_(cfg),
       mem_(memory),
       dram_t_(cfg.mem_latency),
@@ -35,14 +36,18 @@ sarm_model::sarm_model(const sarm_config& cfg, mem::main_memory& memory)
       m_reset_("m_reset"),
       graph_("sarm"),
       kern_(dir_) {
-    build_graph();
+    if (osmdl.empty()) {
+        build_graph();
+    } else {
+        elaborate_graph(osmdl);
+    }
 
     dir_.cfg().restart_on_transition = cfg_.director_restart;
     dir_.cfg().deadlock_check = cfg_.deadlock_check;
 
     ops_.reserve(cfg_.num_osms);
     for (unsigned i = 0; i < cfg_.num_osms; ++i) {
-        ops_.push_back(std::make_unique<sarm_op>(graph_, "op" + std::to_string(i)));
+        ops_.push_back(std::make_unique<sarm_op>(graph(), "op" + std::to_string(i)));
         dir_.add(*ops_.back());
     }
 
@@ -146,6 +151,23 @@ void sarm_model::build_graph() {
     graph_.finalize();
 }
 
+adl::manager_registry sarm_model::managers() {
+    return {{"m_f", &m_f_}, {"m_d", &m_d_},   {"m_e", &m_e_},
+            {"m_b", &m_b_}, {"m_w", &m_w_},   {"m_mul", &m_mul_},
+            {"m_r", &m_r_}, {"m_fr", &m_fr_}, {"m_reset", &m_reset_}};
+}
+
+void sarm_model::elaborate_graph(std::string_view osmdl) {
+    const adl::action_registry actions{
+        {"fetch", [this](core::osm& m) { act_fetch(static_cast<sarm_op&>(m)); }},
+        {"execute", [this](core::osm& m) { act_execute(static_cast<sarm_op&>(m)); }},
+        {"mem", [this](core::osm& m) { act_mem(static_cast<sarm_op&>(m)); }},
+        {"buffer_exit", [this](core::osm& m) { act_buffer_exit(static_cast<sarm_op&>(m)); }},
+        {"retire", [this](core::osm& m) { act_retire(static_cast<sarm_op&>(m)); }},
+    };
+    machine_ = adl::parse_machine(osmdl, actions, /*allow_missing_actions=*/false, managers());
+}
+
 void sarm_model::load(const isa::program_image& img) {
     img.load_into(mem_);
     fetch_pc_ = img.entry;
@@ -210,7 +232,7 @@ std::uint64_t sarm_model::run(std::uint64_t max_cycles) {
 
 stats::report sarm_model::make_report() const {
     stats::report r;
-    r.put("model", "name", std::string("sarm"));
+    r.put("model", "name", std::string(machine_ ? "adl" : "sarm"));
     r.put("run", "cycles", stats_.cycles);
     r.put("run", "retired", stats_.retired);
     r.put("run", "ipc", stats_.ipc());

@@ -14,13 +14,19 @@
 //   variable latency  — cache misses refuse the fetch/buffer token release;
 //   control hazards   — m_reset + prioritized reset edges kill wrong-path
 //                       operations after a taken branch redirects fetch.
+//
+// The OSM graph is either hand-built (build_graph()) or elaborated from an
+// OSM-DL text (adl::sarm_osmdl(), the `adl` engine) onto this same
+// hardware layer and the same edge actions.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "adl/adl.hpp"
 #include "core/director.hpp"
 #include "core/osm.hpp"
 #include "core/osm_graph.hpp"
@@ -93,7 +99,11 @@ public:
 /// The complete StrongARM-like micro-architecture simulator.
 class sarm_model {
 public:
-    sarm_model(const sarm_config& cfg, mem::main_memory& memory);
+    /// With an empty `osmdl` the model runs its hand-built graph; otherwise
+    /// the graph is elaborated from that OSM-DL text, which binds the
+    /// managers() and the actions fetch/execute/mem/buffer_exit/retire by
+    /// name (adl::adl_error on a bad text).
+    sarm_model(const sarm_config& cfg, mem::main_memory& memory, std::string_view osmdl = {});
 
     /// Load a program and reset all machine state.
     void load(const isa::program_image& img);
@@ -121,7 +131,9 @@ public:
 
     core::director& dir() noexcept { return dir_; }
     core::sim_kernel& kernel() noexcept { return kern_; }
-    const core::osm_graph& graph() const noexcept { return graph_; }
+    const core::osm_graph& graph() const noexcept { return machine_ ? machine_->graph : graph_; }
+    /// The token managers (the hardware layer's TMIs) by name.
+    adl::manager_registry managers();
     const mem::cache& icache() const noexcept { return icache_; }
     const mem::cache& dcache() const noexcept { return dcache_; }
     const mem::write_buffer& store_buffer() const noexcept { return wbuf_; }
@@ -130,6 +142,7 @@ public:
 
 private:
     void build_graph();
+    void elaborate_graph(std::string_view osmdl);
     void on_cycle();
 
     // Edge actions.
@@ -159,6 +172,7 @@ private:
     uarch::reset_manager m_reset_;
 
     core::osm_graph graph_;
+    std::unique_ptr<adl::machine> machine_;  ///< the graph elaborated from OSM-DL, if any
     core::director dir_;
     core::sim_kernel kern_;
     std::vector<std::unique_ptr<sarm_op>> ops_;

@@ -282,6 +282,10 @@ struct timing_traits {
     /// Built on the OSM director/kernel (exposed to the pipeline tracer).
     static constexpr bool osm_based = true;
     static constexpr bool executes_fp = true;
+    template <typename Config>
+    static void emplace(std::optional<Model>& m, const Config& cfg, mem::main_memory& memory) {
+        m.emplace(cfg, memory);
+    }
     static void load(Model& m, const isa::program_image& img) { m.load(img); }
     static bool halted(const Model& m) { return m.halted(); }
     static std::uint32_t gpr(const Model& m, unsigned r) { return m.gpr(r); }
@@ -312,10 +316,15 @@ struct hw_traits : timing_traits<baseline::hardwired_sarm> {
     static std::uint64_t retired(const model& m) { return m.retired(); }
 };
 
-/// SARM elaborated from OSM-DL text (the paper's §7 ADL direction).
-struct adl_traits : timing_traits<adl::adl_sarm_model> {
+/// SARM whose OSM graph is elaborated from OSM-DL text (the paper's §7
+/// ADL direction) onto sarm_model's own hardware layer and actions.
+struct adl_traits : timing_traits<sarm::sarm_model> {
     static constexpr std::string_view name = "adl";
     static constexpr auto config = to_sarm_config;
+    static void emplace(std::optional<model>& m, const sarm::sarm_config& cfg,
+                        mem::main_memory& memory) {
+        m.emplace(cfg, memory, adl::sarm_osmdl());
+    }
 };
 
 /// SMT pipeline driven single-threaded (paper §6).  Integer-only: the
@@ -420,7 +429,7 @@ protected:
     stats::report make_report() const override { return sim_->make_report(); }
 
 private:
-    void rebuild() { sim_.emplace(Traits::config(cfg_), mem_); }
+    void rebuild() { Traits::emplace(sim_, Traits::config(cfg_), mem_); }
 
     engine_config cfg_;
     mem::main_memory mem_;

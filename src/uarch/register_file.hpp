@@ -71,7 +71,6 @@ public:
 
     bool pending(unsigned reg) const { return entries_[reg].writer != nullptr; }
     bool forwarding() const noexcept { return forwarding_; }
-    void set_forwarding(bool on) noexcept { forwarding_ = on; }
 
 private:
     struct update_entry {

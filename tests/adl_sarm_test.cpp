@@ -2,6 +2,7 @@
 // hand-built sarm::sarm_model — the retargetable-generation thesis.
 #include <gtest/gtest.h>
 
+#include "adl/adl.hpp"
 #include "adl/adl_sarm.hpp"
 #include "mem/main_memory.hpp"
 #include "sarm/sarm.hpp"
@@ -25,7 +26,7 @@ pair_result run_both(const isa::program_image& img,
     sarm::sarm_model native(cfg, m1);
     native.load(img);
     native.run(2'000'000'000ull);
-    adl::adl_sarm_model from_text(cfg, m2);
+    sarm::sarm_model from_text(cfg, m2, adl::sarm_osmdl());
     from_text.load(img);
     from_text.run(2'000'000'000ull);
 
@@ -41,13 +42,41 @@ pair_result run_both(const isa::program_image& img,
 }
 
 TEST(AdlSarm, DescriptionMatchesHandBuiltGraph) {
+    // Elaborate the text onto the hand-built model's own managers, so both
+    // graphs name the same manager objects and every edge compares exactly.
     mem::main_memory m;
-    adl::adl_sarm_model model(sarm::sarm_config{}, m);
-    mem::main_memory m2;
-    sarm::sarm_model native(sarm::sarm_config{}, m2);
-    EXPECT_EQ(model.graph().num_states(), native.graph().num_states());
-    EXPECT_EQ(model.graph().num_edges(), native.graph().num_edges());
-    EXPECT_EQ(model.graph().ident_slots(), native.graph().ident_slots());
+    sarm::sarm_model native(sarm::sarm_config{}, m);
+    adl::action_registry actions;
+    for (const char* a : {"fetch", "execute", "mem", "buffer_exit", "retire"}) {
+        actions[a] = [](core::osm&) {};
+    }
+    const auto text = adl::parse_machine(adl::sarm_osmdl(), actions,
+                                         /*allow_missing_actions=*/false, native.managers());
+    const core::osm_graph& g = text->graph;
+    const core::osm_graph& h = native.graph();
+    ASSERT_EQ(g.num_states(), h.num_states());
+    ASSERT_EQ(g.num_edges(), h.num_edges());
+    EXPECT_EQ(g.ident_slots(), h.ident_slots());
+    EXPECT_EQ(g.initial(), h.initial());
+    for (core::state_id s = 0; s < h.num_states(); ++s) {
+        EXPECT_EQ(g.state_name(s), h.state_name(s));
+    }
+    for (std::int32_t e = 0; e < h.num_edges(); ++e) {
+        SCOPED_TRACE("edge " + std::to_string(e));
+        const core::graph_edge& a = g.edge(e);
+        const core::graph_edge& b = h.edge(e);
+        EXPECT_EQ(a.from, b.from);
+        EXPECT_EQ(a.to, b.to);
+        EXPECT_EQ(a.priority, b.priority);
+        EXPECT_EQ(static_cast<bool>(a.action), static_cast<bool>(b.action));
+        ASSERT_EQ(a.prims.size(), b.prims.size());
+        for (std::size_t i = 0; i < b.prims.size(); ++i) {
+            EXPECT_EQ(a.prims[i].kind, b.prims[i].kind) << "primitive " << i;
+            EXPECT_EQ(a.prims[i].mgr, b.prims[i].mgr) << "primitive " << i;
+            EXPECT_EQ(a.prims[i].ident.slot, b.prims[i].ident.slot) << "primitive " << i;
+            EXPECT_EQ(a.prims[i].ident.fixed, b.prims[i].ident.fixed) << "primitive " << i;
+        }
+    }
 }
 
 TEST(AdlSarm, CycleExactOnMediabench) {
@@ -80,6 +109,27 @@ TEST(AdlSarm, ConfigKnobsStillApply) {
     const auto slow = run_both(w.image, no_fwd);
     EXPECT_EQ(slow.adl_cycles, slow.native_cycles);
     EXPECT_GT(slow.adl_cycles, fwd.adl_cycles);
+
+    // A store buffer in front of a write-through D-cache (the SA-110 layout).
+    sarm::sarm_config wbuf;
+    wbuf.write_buffer = true;
+    wbuf.dcache.wpolicy = mem::write_policy::write_through;
+    const auto mpeg = workloads::make_mpeg2_enc(1);
+    const auto buffered = run_both(mpeg.image, wbuf);
+    EXPECT_TRUE(buffered.both_halted);
+    EXPECT_EQ(buffered.adl_cycles, buffered.native_cycles);
+
+    sarm::sarm_config slow_mul;
+    slow_mul.mul_extra = 2;
+    const auto mul = run_both(w.image, slow_mul);
+    EXPECT_EQ(mul.adl_cycles, mul.native_cycles);
+    EXPECT_GT(mul.adl_cycles, fwd.adl_cycles);
+
+    sarm::sarm_config restart;
+    restart.director_restart = true;
+    const auto rs = run_both(w.image, restart);
+    EXPECT_TRUE(rs.regs_equal);
+    EXPECT_EQ(rs.adl_cycles, rs.native_cycles);
 }
 
 }  // namespace

@@ -154,6 +154,57 @@ TEST(Adl, ErrorsCarryLineNumbers) {
     EXPECT_THROW(adl::parse_machine(""), adl::adl_error);
 }
 
+TEST(Adl, RejectsOutOfRangeNumbersAndSlots) {
+    const auto error_line = [](const std::string& src) -> unsigned {
+        try {
+            adl::parse_machine(src);
+        } catch (const adl::adl_error& e) {
+            return e.line();
+        }
+        return 0;
+    };
+    const std::string head = "machine x\nstate I initial\nmanager unit u\n";
+    // Slot indices must fall inside the declared `slots`, which default to 0.
+    EXPECT_EQ(error_line("machine x\nslots 1\nmanager unit u\nstate I initial\n"
+                         "edge I -> I {\n  allocate u slot 5\n}\n"),
+              6u);
+    EXPECT_EQ(error_line(head + "edge I -> I { allocate u slot 0 }\n"), 4u);
+    EXPECT_EQ(error_line("machine x\nstate I initial\nmanager unit u\n"
+                         "edge I -> I { allocate u slot 2 }\nslots 2\n"),
+              4u);
+    // Numbers must fit 64 bits and the field they fill.
+    EXPECT_EQ(error_line("machine x\nslots 99999999999\nstate I\n"), 2u);
+    EXPECT_EQ(error_line("machine x\nslots 4294967295\nstate I\n"), 2u);
+    EXPECT_EQ(error_line(head + "manager pool p capacity 99999999999\n"), 4u);
+    EXPECT_EQ(error_line(head + "manager queue q capacity 4 alloc_bw 0x100000000\n"), 4u);
+    EXPECT_EQ(error_line(head + "manager queue q capacity 4 release_bw 4294967296\n"), 4u);
+    EXPECT_EQ(error_line(head + "manager regfile r regs 129\n"), 4u);
+    EXPECT_EQ(error_line(head + "manager rename n regs 65 buffers 4\n"), 4u);
+    EXPECT_EQ(error_line(head + "manager rename n regs 32 buffers 4294967296\n"), 4u);
+    EXPECT_EQ(error_line(head + "edge I -> I priority 2147483648 { }\n"), 4u);
+    EXPECT_EQ(error_line(head + "edge I -> I { allocate u 18446744073709551616 }\n"), 4u);
+    EXPECT_EQ(error_line(head + "edge I -> I { allocate u 0x10000000000000000 }\n"), 4u);
+    // The largest values that fit still parse.
+    EXPECT_NO_THROW(adl::parse_machine(
+        head + "manager pool p capacity 4294967295\nmanager regfile r regs 128\n"
+               "edge I -> I priority 2147483647 { allocate u 18446744073709551615 }\n"));
+}
+
+TEST(Adl, BindsManagersSuppliedByTheModel) {
+    core::unit_token_manager stage("m_s");
+    const adl::manager_registry supplied{{"m_s", &stage}};
+    const char* src = "machine x\nstate I initial\nstate A\nedge I -> A { allocate m_s 0 }\n";
+    const auto m = adl::parse_machine(src, {}, false, supplied);
+    EXPECT_TRUE(m->managers.empty());
+    EXPECT_EQ(m->find_manager("m_s"), nullptr);
+    ASSERT_EQ(m->graph.edge(0).prims.size(), 1u);
+    EXPECT_EQ(m->graph.edge(0).prims[0].mgr, &stage);
+    // Unknown names stay errors, and a text may not redeclare a supplied one.
+    EXPECT_THROW(adl::parse_machine(src), adl::adl_error);
+    EXPECT_THROW(adl::parse_machine(std::string("manager unit m_s\n") + src, {}, false, supplied),
+                 adl::adl_error);
+}
+
 TEST(Adl, UnknownActionRejectedUnlessAllowed) {
     const char* src = R"(
 machine a
